@@ -7,7 +7,7 @@ Every subcommand assembles one record (or a stream of records) shaped as
 and prints it as an aligned table (6 significant digits), JSON, or CSV
 (both at full round-trip precision).  Exit codes: 0 success, 2 bad
 input, 3 numerical failure.  A flat key=value config file supplies
-defaults below explicit flags; SPECGAP_THREADS caps sweep concurrency.
+defaults below explicit flags.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import click
@@ -80,12 +79,30 @@ def _scalar_text(val, digits: int) -> str:
     return str(val)
 
 
+_SECTIONS = ("query", "results", "flags", "timings")
+
+
 def _flatten(record: dict) -> dict:
     flat = {"schema_version": record["schema_version"]}
-    for section in ("query", "results", "flags", "timings"):
+    for section in _SECTIONS:
         for key, val in record[section].items():
             flat[f"{section}.{key}"] = val
     return flat
+
+
+def _csv_columns(flats: list[dict]) -> list[str]:
+    """Union of the rows' columns, section by section.
+
+    Within a section the keys every row has come first, in record order,
+    then the keys only some rows have, by name; so the header does not
+    depend on the order of the rows.
+    """
+    cols = ["schema_version"]
+    for section in _SECTIONS:
+        keys = [[k for k in f if k.startswith(section + ".")] for f in flats]
+        common = [k for k in keys[0] if all(k in row for row in keys)]
+        cols += common + sorted(set().union(*keys) - set(common))
+    return cols
 
 
 def _emit(records: list[dict], fmt: str) -> None:
@@ -95,11 +112,7 @@ def _emit(records: list[dict], fmt: str) -> None:
         return
     if fmt == "csv":
         flats = [_flatten(r) for r in records]
-        cols: list[str] = []
-        for f in flats:
-            for k in f:
-                if k not in cols:
-                    cols.append(k)
+        cols = _csv_columns(flats)
         click.echo(",".join(cols))
         for f in flats:
             click.echo(",".join(
@@ -271,17 +284,6 @@ def _parse_grid(path: str) -> dict:
     return axes
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SPECGAP_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise click.UsageError(
-                f"SPECGAP_THREADS must be an integer, got {raw!r}")
-    return max(1, min(4, os.cpu_count() or 1))
-
-
 @cli.command()
 @click.argument("gridfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt",
@@ -295,20 +297,16 @@ def sweep(gridfile, fmt):
     comment.  Rows stream in grid order (n outermost, alpha innermost).
     """
     axes = _parse_grid(gridfile)
-    points = [dict(n=nn, K=kk, D=dd, alpha=aa)
-              for nn, kk, dd, aa in product(axes["n"], axes["k"],
-                                            axes["d"], axes["alpha"])]
-
-    def one(q):
+    records = []
+    for n, K, D, alpha in product(axes["n"], axes["k"], axes["d"],
+                                  axes["alpha"]):
+        query = dict(n=n, K=K, D=D, alpha=alpha)
         t0 = time.perf_counter()
-        rep = bounds_mod.bound_report(q["n"], q["K"], q["D"], q["alpha"])
+        rep = bounds_mod.bound_report(n, K, D, alpha)
         dt = time.perf_counter() - t0
-        results = {k: v for k, v in rep.as_dict().items() if k not in q}
-        return _record(dict(q), results, dict(rep.consistency),
-                       {"compute_s": dt})
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        records = list(pool.map(one, points))
+        results = {k: v for k, v in rep.as_dict().items() if k not in query}
+        records.append(_record(query, results, dict(rep.consistency),
+                               {"compute_s": dt}))
     _emit(records, fmt)
 
 

@@ -30,7 +30,6 @@ from .errors import (
     BracketFailure,
     DomainError,
     HorizonReached,
-    IntegrationFailure,
     MeshTooCoarse,
     SingularWeight,
 )
@@ -82,43 +81,17 @@ class EigenQuery:
 # ---------------------------------------------------------------------------
 # capped length measurements (sign oracles for the shooting bisection)
 
-def _cap_for(params: ModelParams, reach: float) -> float:
-    dom = params.domain()
-    if params.branch is Branch.TAN:
-        return min(dom.hi - model._POLE_GAP / params.scale, reach)
-    return reach
+def _turn_distance(params: ModelParams, lam: float, a: float, *,
+                   odd: bool = False, reach: float | None = None) -> float:
+    """Distance from a to the first w'-zero of the launch at a.
 
-
-def _half_length_capped(params: ModelParams, lam: float, reach: float) -> float:
-    """Distance from the midpoint to the first zero of v' (odd launch).
-
+    odd launches v(a) = 0, v'(a) = 1 (half-lengths from the midpoint).
     Returns inf when no zero occurs before min(reach, pole cap); that is
-    enough to know the half-length exceeds the reach.
+    enough to know the measured length exceeds the reach.
     """
-    t_cap = _cap_for(params, reach)
-    raw = model._integrate_first_wprime_zero(params, lam, 0.0, (0.0, 1.0),
-                                             t_cap)
-    if raw.kind in ("event", "tail"):
-        return raw.t_zero
-    return math.inf
-
-
-def _d_capped(params: ModelParams, lam: float, a: float, reach: float) -> float:
-    """First-maximum distance d(a, T, lam), capped at reach for sign tests."""
-    dom = params.domain()
-    t_cap = _cap_for(params, reach)
-    if a == dom.lo and dom.lo_singular:
-        h = 1e-3 / params.scale
-        A, B = model._series_coeffs(params, lam, 4)
-        w0, wp0 = model._series_eval(A, B, h)
-        t0, y0 = a + h, (float(w0), float(wp0))
-    else:
-        t0, y0 = a, (-1.0, 0.0)
-    if t0 >= t_cap:
-        return 0.0
-    raw = model._integrate_first_wprime_zero(params, lam, t0, y0, t_cap)
-    if raw.kind in ("event", "tail"):
-        return raw.t_zero - a
+    shot = model.shoot(params, lam, a, odd=odd, reach=reach)
+    if shot.kind in ("event", "tail"):
+        return shot.t_zero - a
     return math.inf
 
 
@@ -135,13 +108,13 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
         reach = 0.5 * L * 1.02 + 0.01 * min(L, 1.0)
 
         def measure(lam):
-            return _half_length_capped(params, lam, reach)
+            return _turn_distance(params, lam, 0.0, odd=True, reach=reach)
     else:
         target = L
         reach_abs = query.b + 0.02 * L
 
         def measure(lam):
-            return _d_capped(params, lam, query.a, reach_abs)
+            return _turn_distance(params, lam, query.a, reach=reach_abs)
 
     def below(lam):
         # True when lam < lambda_1, i.e. the measured length overshoots
@@ -201,14 +174,15 @@ def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:
         EigenQuery(params, -0.5 * D, 0.5 * D, tol))
 
 
-def symmetric_interval_length(params: ModelParams, lambda_bar: float,
-                              horizon: float | None = None) -> float:
+def symmetric_interval_length(params: ModelParams,
+                              lambda_bar: float) -> float:
     """Length of the symmetric interval whose first Neumann eigenvalue
     equals lambda_bar (inverse of lambda1 in the diameter slot).
 
     Tan branch: defined for lambda_bar >= N Kbar; at the anchor value the
     full domain pi/sqrt(Kbar) is returned (boundary case).  Coth has no
-    symmetric interval.
+    symmetric interval.  The search runs over the model's default
+    horizon (see model.shoot).
     """
     if params.branch is Branch.COTH:
         raise DomainError("coth branch admits no symmetric interval")
@@ -222,20 +196,12 @@ def symmetric_interval_length(params: ModelParams, lambda_bar: float,
                 f"N Kbar = {anchor}")
         if lambda_bar <= anchor * (1.0 + 1e-10):
             return math.pi / params.scale
-        reach = math.inf
-    elif params.branch is Branch.TANH and \
-            lambda_bar <= params.essential_threshold:
-        reach = horizon if horizon is not None else \
-            model._CERT_WINDOW / params.scale
-    else:
-        reach = horizon if horizon is not None else model._DEFAULT_HORIZON
 
-    half = _half_length_capped(params, lambda_bar, reach)
+    half = _turn_distance(params, lambda_bar, 0.0, odd=True)
     if math.isinf(half):
         if params.branch is Branch.TAN:
             return math.pi / params.scale
-        raise HorizonReached(
-            "no symmetric interval found within the horizon; increase it")
+        raise HorizonReached("no symmetric interval found within the horizon")
     return 2.0 * half
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
@@ -59,11 +60,13 @@ __all__ = [
     "drift_eval",
     "riccati_residual",
     "weight_mu",
+    "Shot",
+    "shoot",
     "solve_ivp",
     "first_zero_of_wprime",
 ]
 
-# Default integrator controls.  The terminal event is located by the
+# Integrator controls.  The terminal event is located by the
 # integrator's own root find on the dense output (well below 1e-12).
 RTOL = 1e-10
 ATOL = 1e-10
@@ -167,18 +170,6 @@ class Domain:
         if closed:
             return self.lo <= t <= self.hi
         return self.lo < t < self.hi
-
-
-def _drift_scalar(params: ModelParams, t: float) -> float:
-    s = params.scale
-    c = (params.dim - 1.0) * s
-    if params.branch is Branch.TAN:
-        return c * math.tan(s * t)
-    if params.branch is Branch.TANH:
-        return -c * math.tanh(s * t)
-    if params.branch is Branch.COTH:
-        return -c / math.tanh(s * t)
-    return 0.0
 
 
 def drift_eval(params: ModelParams, t):
@@ -315,17 +306,27 @@ def _tan_tail_zero(params: ModelParams, lam: float, t_end: float,
 
 
 # ---------------------------------------------------------------------------
-# Shared linear-IVP integration with first-w'-zero detection.
+# The shooting primitive: launch, cap, integrate, classify the first w' zero.
 
 @dataclass
-class _RawResult:
-    kind: str               # "event" | "tail" | "blow" | "cap" | "collapse"
+class Shot:
+    """One integration of the model ODE up to its first w'-zero.
+
+    kind is "event" (the integrator located the zero), "tail" (the zero
+    sits in the sliver at the tan pole), "blow" (|w'| passed the growth
+    guard), "collapse" (the state decayed to nothing below the essential
+    threshold) or "cap" (no zero before the cap).  series holds
+    (a, h, A, B) when the run was launched by the Frobenius series.
+    """
+
+    kind: str
     t_zero: float | None
     y_zero: tuple | None
     t_end: float
     y_end: tuple
     sol: object             # scipy OdeSolution (dense)
-    steps: np.ndarray
+    steps: np.ndarray       # integrator steps, from the launch point on
+    series: tuple | None = None
 
 
 def _make_rhs(params: ModelParams, lam: float):
@@ -341,13 +342,60 @@ def _make_rhs(params: ModelParams, lam: float):
     return lambda t, y: (y[1], -lam * y[0])
 
 
+def shoot(params: ModelParams, lam: float, a: float, *, odd: bool = False,
+          reach: float | None = None, series_step: float | None = None,
+          series_order: int = 4, collapse: bool = False) -> Shot:
+    """Launch the model ODE at a and run it to its first w'-zero.
+
+    The start is w = -1, w' = 0, or w = 0, w' = 1 when odd is set; at a
+    singular left end the regular solution is launched by a Frobenius
+    series of the given order over series_step (default
+    1e-3/sqrt(|Kbar|)).  The run ends at the absolute position reach
+    (default a + 1e3, a + 50/sqrt(|Kbar|) below the essential threshold,
+    no limit on tan), and on tan _POLE_GAP/sqrt(Kbar) short of the pole.
+    collapse tightens atol below the threshold and stops once the state
+    has decayed, as solve_ivp's no-turning certificate needs.
+    """
+    dom = params.domain()
+    subthreshold = lam <= params.essential_threshold
+    if reach is None:
+        if params.branch is Branch.TAN:
+            reach = math.inf
+        else:
+            reach = a + (_CERT_WINDOW / params.scale if subthreshold
+                         else _DEFAULT_HORIZON)
+    t_cap = reach
+    if params.branch is Branch.TAN:
+        t_cap = min(dom.hi - _POLE_GAP / params.scale, reach)
+
+    series = None
+    if odd:
+        t0, y0 = a, (0.0, 1.0)
+    elif a == dom.lo and dom.lo_singular:
+        h = series_step if series_step is not None else 1e-3 / params.scale
+        A, B = _series_coeffs(params, lam, series_order)
+        w0, wp0 = _series_eval(A, B, h)
+        t0, y0 = a + h, (float(w0), float(wp0))
+        series = (a, h, A, B)
+    else:
+        t0, y0 = a, (-1.0, 0.0)
+    if t0 >= t_cap:
+        raise DomainError("start too close to the integration cap")
+
+    shot = _integrate_first_wprime_zero(params, lam, t0, y0, t_cap,
+                                        collapse and subthreshold)
+    shot.series = series
+    return shot
+
+
 def _integrate_first_wprime_zero(params: ModelParams, lam: float,
-                                 t0: float, y0, t_cap: float, *,
-                                 rtol: float = RTOL, atol: float = ATOL,
-                                 collapse: bool = False) -> _RawResult:
+                                 t0: float, y0, t_cap: float,
+                                 collapse: bool) -> Shot:
     """Integrate w'' = T w' - lam w from (t0, y0) until w' first crosses zero.
 
-    Stops at t_cap otherwise.  On the tan branch with t_cap at the pole
+    Stops at t_cap otherwise, or with collapse set (below the essential
+    threshold) once the whole state has decayed, integrating with atol
+    1e-13 there.  On the tan branch with t_cap at the pole
     gap, a no-event outcome is refined by the flux analysis of the
     remaining sliver ("tail").  The |w'| guard stops hopeless runs into
     the tan pole's singular mode early ("blow").
@@ -376,7 +424,8 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
         events.append(ev_collapse)
 
     sol = _scipy_solve_ivp(rhs, (t0, t_cap), list(y0), method="DOP853",
-                           rtol=rtol, atol=atol, events=events,
+                           rtol=RTOL, atol=1e-13 if collapse else ATOL,
+                           events=events,
                            dense_output=True)
     if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"integrator failed: {sol.message}")
@@ -387,21 +436,13 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
     if sol.t_events[0].size:
         tz = float(sol.t_events[0][0])
         yz = (float(sol.y_events[0][0][0]), float(sol.y_events[0][0][1]))
-        return _RawResult("event", tz, yz, tz, yz, sol.sol, sol.t)
+        return Shot("event", tz, yz, tz, yz, sol.sol, sol.t)
 
-    if sol.t_events[1].size:
-        return _RawResult("blow", None, None,
-                          float(sol.t_events[1][0]),
-                          (float(sol.y_events[1][0][0]),
-                           float(sol.y_events[1][0][1])),
-                          sol.sol, sol.t)
-
-    if collapse and sol.t_events[2].size:
-        return _RawResult("collapse", None, None,
-                          float(sol.t_events[2][0]),
-                          (float(sol.y_events[2][0][0]),
-                           float(sol.y_events[2][0][1])),
-                          sol.sol, sol.t)
+    for i, kind in zip(range(1, len(events)), ("blow", "collapse")):
+        if sol.t_events[i].size:
+            y = sol.y_events[i][0]
+            return Shot(kind, None, None, float(sol.t_events[i][0]),
+                        (float(y[0]), float(y[1])), sol.sol, sol.t)
 
     if params.branch is Branch.TAN:
         p = params.domain().hi
@@ -409,10 +450,10 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
             tail = _tan_tail_zero(params, lam, t_end, y_end[0], y_end[1])
             if tail is not None:
                 t_star, m_est = tail
-                return _RawResult("tail", t_star, (m_est, 0.0), t_end, y_end,
-                                  sol.sol, sol.t)
+                return Shot("tail", t_star, (m_est, 0.0), t_end, y_end,
+                            sol.sol, sol.t)
 
-    return _RawResult("cap", None, None, t_end, y_end, sol.sol, sol.t)
+    return Shot("cap", None, None, t_end, y_end, sol.sol, sol.t)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +467,9 @@ class ModelSolution:
     (math.inf when certified absent), b = a + d, and m = w(b) in (0, inf).
     certificate records how the outcome was established; boundary is True
     when the maximum sits in the analytically handled sliver at the tan
-    pole (full-interval boundary case).
+    pole (full-interval boundary case).  t, w and wp sample the
+    trajectory at the integrator's steps and 400 even points, after the
+    series launch when there is one; they are built on first read.
     """
 
     params: ModelParams
@@ -437,26 +480,41 @@ class ModelSolution:
     m: float | None
     certificate: str
     boundary: bool
-    t: np.ndarray
-    w: np.ndarray
-    wp: np.ndarray
-    _dense: object = field(repr=False, default=None)
-    _dense_span: tuple = field(repr=False, default=(0.0, 0.0))
-    _series: tuple | None = field(repr=False, default=None)  # (a, h, A, B)
+    _shot: Shot = field(repr=False)
+
+    @cached_property
+    def _grid(self):
+        shot = self._shot
+        fill = np.linspace(shot.steps[0], shot.t_end, 400)
+        t = np.unique(np.concatenate([shot.steps, fill]))
+        w, wp = shot.sol(t)
+        if shot.series is not None:
+            a0, h, A, B = shot.series
+            s = np.linspace(0.0, h, 17)
+            ws, wps = _series_eval(A, B, s)
+            t = np.concatenate([a0 + s[:-1], t])
+            w = np.concatenate([ws[:-1], w])
+            wp = np.concatenate([wps[:-1], wp])
+        return t, w, wp
+
+    t = property(lambda self: self._grid[0])
+    w = property(lambda self: self._grid[1])
+    wp = property(lambda self: self._grid[2])
 
     def _eval(self, t, deriv: bool):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(arr)
-        lo, hi = self._dense_span
+        shot = self._shot
+        lo, hi = float(shot.steps[0]), shot.t_end
         for i, ti in enumerate(arr):
-            if self._series is not None and ti < lo:
-                a0, _h, A, B = self._series
+            if shot.series is not None and ti < lo:
+                a0, _h, A, B = shot.series
                 s = max(ti - a0, 0.0)
                 w, wp = _series_eval(A, B, s)
                 out[i] = wp if deriv else w
             else:
                 tc = min(max(ti, lo), hi)
-                out[i] = self._dense(tc)[1 if deriv else 0]
+                out[i] = shot.sol(tc)[1 if deriv else 0]
         return out if np.asarray(t).ndim else float(out[0])
 
     def w_at(self, t):
@@ -472,16 +530,17 @@ class ModelSolution:
         and to the end of the integrated trajectory otherwise (w' never
         crossed zero there, so w is still monotone).
         """
+        t_end = self._shot.t_end
         if math.isfinite(self.d) and self.m is not None:
             top_t, top_w = self.b, self.m
         else:
-            top_t = self._dense_span[1]
+            top_t = t_end
             top_w = self.w_at(top_t)
         if not (-1.0 <= y <= top_w):
             raise DomainError(f"value {y} outside the range [-1, {top_w}]")
         if y == -1.0:
             return self.a
-        hi = min(top_t, self._dense_span[1])
+        hi = min(top_t, t_end)
         w_hi = self.w_at(hi)
         if y >= w_hi:
             # sliver beyond the dense span (tan boundary case): linear bridge
@@ -493,15 +552,15 @@ class ModelSolution:
 
 
 def solve_ivp(params: ModelParams, lambda_bar: float, a: float, *,
-              horizon: float | None = None, rtol: float = RTOL,
-              atol: float = ATOL, series_step: float | None = None,
-              series_order: int = 4, dense_points: int = 400) -> ModelSolution:
+              horizon: float | None = None,
+              series_step: float | None = None,
+              series_order: int = 4) -> ModelSolution:
     """Solve the model IVP w(a) = -1, w'(a) = 0 and find the first maximum.
 
-    horizon is the maximum integrated length for unbounded domains
-    (default 1e3, or the 50/sqrt(|Kbar|) certificate window below the
-    essential threshold).  Singular starts launch with a Frobenius series
-    of the given order over series_step (default 1e-3/sqrt(|Kbar|)).
+    horizon is the maximum integrated length (default 1e3, or the
+    50/sqrt(|Kbar|) certificate window below the essential threshold).
+    Singular starts launch with a Frobenius series of the given order
+    over series_step (default 1e-3/sqrt(|Kbar|)).
     """
     if not (lambda_bar > 0.0) or not math.isfinite(lambda_bar):
         raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
@@ -509,83 +568,42 @@ def solve_ivp(params: ModelParams, lambda_bar: float, a: float, *,
     if not (dom.lo <= a < dom.hi):
         raise DomainError(f"start {a} outside domain [{dom.lo}, {dom.hi})")
 
-    subthreshold = (params.branch in (Branch.TANH, Branch.COTH)
-                    and lambda_bar <= params.essential_threshold)
+    shot = shoot(params, lambda_bar, a,
+                 reach=None if horizon is None else a + horizon,
+                 series_step=series_step, series_order=series_order,
+                 collapse=True)
 
-    # integration cap
-    if params.branch is Branch.TAN:
-        t_cap = dom.hi - _POLE_GAP / params.scale
-        if horizon is not None:
-            t_cap = min(t_cap, a + horizon)
-    elif subthreshold:
-        t_cap = a + (horizon if horizon is not None
-                     else _CERT_WINDOW / params.scale)
-    else:
-        t_cap = a + (horizon if horizon is not None else _DEFAULT_HORIZON)
-
-    # launch
-    series = None
-    singular_start = (a == dom.lo and dom.lo_singular)
-    if singular_start:
-        h = series_step if series_step is not None else 1e-3 / params.scale
-        A, B = _series_coeffs(params, lambda_bar, series_order)
-        w0, wp0 = _series_eval(A, B, h)
-        t0, y0 = a + h, (float(w0), float(wp0))
-        series = (a, h, A, B)
-    else:
-        t0, y0 = a, (-1.0, 0.0)
-    if t0 >= t_cap:
-        raise DomainError("start too close to the integration cap")
-
-    effective_atol = min(atol, 1e-13) if subthreshold else atol
-    raw = _integrate_first_wprime_zero(params, lambda_bar, t0, y0, t_cap,
-                                       rtol=rtol, atol=effective_atol,
-                                       collapse=subthreshold)
-
-    certificate = raw.kind
-    boundary = False
-    if raw.kind == "event":
-        d = raw.t_zero - a
-        b, m = raw.t_zero, raw.y_zero[0]
-    elif raw.kind == "tail":
-        d = raw.t_zero - a
-        b, m = raw.t_zero, raw.y_zero[0]
-        boundary = True
-    elif raw.kind == "blow":
+    certificate = shot.kind
+    d, b, m = math.inf, None, None
+    if shot.kind in ("event", "tail"):
+        d, b, m = shot.t_zero - a, shot.t_zero, shot.y_zero[0]
+    elif shot.kind == "blow":
         if params.branch is not Branch.TAN:
             raise IntegrationFailure("solution exceeded the growth guard")
-        d, b, m = math.inf, None, None
         certificate = "pole-blowup"
-    else:  # cap / collapse
-        if params.branch is Branch.TAN:
-            d, b, m = math.inf, None, None
-            certificate = "pole-regular"
-        elif subthreshold:
-            _certify_subthreshold(params, lambda_bar, raw)
-            d, b, m = math.inf, None, None
-            certificate = "subthreshold"
-        else:
-            raise HorizonReached(
-                f"no w' zero within horizon ending at t = {raw.t_end:.6g}; "
-                "increase horizon")
+    elif params.branch is Branch.TAN:  # cap
+        certificate = "pole-regular"
+    elif lambda_bar <= params.essential_threshold:  # cap / collapse
+        _certify_subthreshold(params, lambda_bar, shot)
+        certificate = "subthreshold"
+    else:
+        raise HorizonReached(
+            f"no w' zero within horizon ending at t = {shot.t_end:.6g}; "
+            "increase horizon")
 
-    t_grid, w_grid, wp_grid = _sample_grid(raw, series, a, dense_points)
     return ModelSolution(params=params, lambda_bar=lambda_bar, a=a, d=d,
                          b=b, m=m, certificate=certificate,
-                         boundary=boundary, t=t_grid, w=w_grid, wp=wp_grid,
-                         _dense=raw.sol,
-                         _dense_span=(t0, raw.t_end),
-                         _series=series)
+                         boundary=shot.kind == "tail", _shot=shot)
 
 
 def _certify_subthreshold(params: ModelParams, lam: float,
-                          raw: _RawResult) -> None:
+                          shot: Shot) -> None:
     """Check the no-turning certificate below the essential threshold.
 
     Requires w still negative at the end and the logarithmic derivative
     settled near the slow decay root (-theta + sqrt(theta^2 - 4 lam))/2.
     """
-    w_end, wp_end = raw.y_end
+    w_end, wp_end = shot.y_end
     if not (w_end < 0.0):
         raise HorizonReached("certificate failed: w crossed zero "
                              "without an interior maximum in the window")
@@ -594,29 +612,11 @@ def _certify_subthreshold(params: ModelParams, lam: float,
     root = 0.5 * (-theta + math.sqrt(disc))
     ratio = wp_end / w_end
     # the critical case approaches its double root only algebraically
-    tol = max(1e-6, 4.0 / max(raw.t_end - raw.steps[0], 1.0))
+    tol = max(1e-6, 4.0 / max(shot.t_end - shot.steps[0], 1.0))
     if abs(ratio - root) > tol * (1.0 + abs(root)):
         raise HorizonReached(
             f"certificate failed: w'/w = {ratio:.6g} not settled at "
             f"decay root {root:.6g}")
-
-
-def _sample_grid(raw: _RawResult, series, a: float, dense_points: int):
-    t_hi = raw.t_end
-    t_lo = raw.steps[0]
-    nodes = raw.steps[(raw.steps >= t_lo) & (raw.steps <= t_hi)]
-    fill = np.linspace(t_lo, t_hi, dense_points)
-    t = np.unique(np.concatenate([nodes, fill]))
-    vals = raw.sol(t)
-    w, wp = vals[0], vals[1]
-    if series is not None:
-        a0, h, A, B = series
-        s = np.linspace(0.0, h, 17)
-        ws, wps = _series_eval(A, B, s)
-        t = np.concatenate([a0 + s[:-1], t])
-        w = np.concatenate([ws[:-1], w])
-        wp = np.concatenate([wps[:-1], wp])
-    return t, w, wp
 
 
 def first_zero_of_wprime(params: ModelParams, lambda_bar: float, a: float,

@@ -161,8 +161,11 @@ def choose_K_bar(n: float, delta: float, K: float, sigma: float = 0.0,
     # the weakening must be strict whenever there is anything to pay
     # for; with K <= 0 and sigma = 0 the scaled value can sit at or
     # above K, which is fine because nothing is charged against it
-    if (delta > 0 or sigma > 0) and (K > 0 or sigma > 0) and K >= 0:
-        assert base < K, (base, K)
+    if (delta > 0 or sigma > 0) and (K > 0 or sigma > 0) and K >= 0 \
+            and not base < K:
+        raise DomainError(
+            f"perturbed curvature {base} does not fall below K = {K}; "
+            f"N = {N} is too small for delta = {delta}")
     return base
 
 

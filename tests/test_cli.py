@@ -154,13 +154,21 @@ def test_sweep_malformed_grid(runner, tmp_path):
     assert "duplicate" in res.output
 
 
-def test_sweep_thread_env(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECGAP_THREADS", "2")
-    grid = tmp_path / "g.txt"
-    grid.write_text("n = 3\nK = 0\nD = 1 2 3\n")
-    res = runner.invoke(cli, ["sweep", str(grid)])
-    assert res.exit_code == 0
-    assert len(res.output.strip().splitlines()) == 4  # header + 3 rows
+def test_sweep_csv_header_independent_of_row_order(runner, tmp_path):
+    headers = []
+    for ks in ("-1 1", "1 -1"):
+        grid = tmp_path / "g.txt"
+        grid.write_text(f"n = 3\nK = {ks}\nD = 1\n")
+        res = runner.invoke(cli, ["sweep", str(grid)])
+        assert res.exit_code == 0, res.output
+        headers.append(res.output.splitlines()[0])
+    assert headers[0] == headers[1]
+    cols = headers[0].split(",")
+    sections = [c.split(".")[0] for c in cols]
+    assert sections == sorted(sections, key=["schema_version", "query",
+                                             "results", "flags",
+                                             "timings"].index)
+    assert {"results.lichnerowicz", "results.yang"} <= set(cols)
 
 
 # ---------------------------------------------------------------------------

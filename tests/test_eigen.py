@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
-from specgap.errors import DomainError, MeshTooCoarse
+from specgap.errors import DomainError, MeshTooCoarse, SpecgapError
 from specgap.eigen import (
     EigenQuery,
     fd_oracle_eigenvalue,
@@ -55,6 +56,29 @@ def test_diameter_beyond_closing_rejected():
         lambda1_model(3, 1.0, math.pi + 1e-6)
     with pytest.raises(DomainError):
         lambda1_model(3, 4.0, math.pi)
+
+
+# exact lambda1(3, K, D) on the symmetric interval, from the n = 3
+# closed form solved with mpmath at 50 digits
+EXACT_N3_SYMMETRIC = {
+    (1.0, 1.0): 10.938514313632894,
+    (-4.0, 2.6): 0.18351081948894607,
+    (-1.0, 6.0): 0.020246463331700822,
+    (-1.0, 30.0): 7.486098375111369e-13,
+}
+
+
+@pytest.mark.xfail(strict=True, reason="the bisection on the w'-zero "
+                   "event misses 1e-10 at ordinary points and is silently "
+                   "wrong once w' decays below the integrator's atol")
+@pytest.mark.parametrize("K,D", list(EXACT_N3_SYMMETRIC))
+def test_lambda1_meets_tolerance_or_raises(K, D):
+    want = EXACT_N3_SYMMETRIC[(K, D)]
+    try:
+        got = lambda1_model(3, K, D)
+    except SpecgapError:
+        return
+    assert abs(got / want - 1.0) <= 1e-10
 
 
 def test_bad_inputs_rejected():
@@ -126,6 +150,39 @@ def test_central_interval_minimizes():
     for a in (-1.2, -0.9, -0.3, 0.1):
         lam = neumann_eigenvalue_shooting(EigenQuery(p, a, a + L))
         assert lam >= lam_c - 1e-8 * lam_c
+
+
+def _first_root(f, k0, step=0.01):
+    k = k0
+    while f(k) * f(k + step) > 0:
+        k += step
+    return brentq(f, k, k + step, xtol=1e-15, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("b", [-1.2, 0.0, 0.7, 1.3])
+def test_pole_launch_matches_n3_closed_form_tan(b):
+    """On [-pi/2, b] with N = 3, K = 1, w = u / cos t turns the ODE into
+    u'' + k^2 u = 0 with lambda = k^2 - 1 and u(-pi/2) = 0, so the
+    Neumann condition at b reads
+    k cos(k (b + pi/2)) cos b + sin(k (b + pi/2)) sin b = 0."""
+    L = b + math.pi / 2
+    k = _first_root(lambda k: k * math.cos(k * L) * math.cos(b)
+                    + math.sin(k * L) * math.sin(b), 1.0 + 1e-3)
+    p = ModelParams(3.0, 1.0, Branch.TAN)
+    lam = neumann_eigenvalue_shooting(EigenQuery(p, -math.pi / 2, b))
+    assert lam == pytest.approx(k * k - 1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.8, 1.7, 3.0])
+def test_pole_launch_matches_n3_closed_form_coth(b):
+    """On [0, b] with N = 3, K = -1, w = u / sinh t gives u'' + k^2 u = 0
+    with lambda = k^2 + 1 and u(0) = 0, so the Neumann condition at b
+    reads k cos(k b) sinh b = sin(k b) cosh b."""
+    k = _first_root(lambda k: k * math.cos(k * b) * math.sinh(b)
+                    - math.sin(k * b) * math.cosh(b), 1e-3)
+    p = ModelParams(3.0, -1.0, Branch.COTH)
+    lam = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
+    assert lam == pytest.approx(k * k + 1.0, rel=1e-8)
 
 
 def test_coth_interval_dominates_central_even_family():

@@ -125,6 +125,12 @@ def test_choose_K_bar_zero_curvature():
     assert choose_K_bar(3, 0.1, 0.0) == 0.0
 
 
+def test_choose_K_bar_rejects_too_small_N():
+    # N = 2 leaves (1 - delta) K (n - 1) / (N - 1) = 1.98 above K = 1
+    with pytest.raises(DomainError):
+        choose_K_bar(3, 0.01, 1.0, N=2.0)
+
+
 # ---------------------------------------------------------------------------
 # the three pointwise conditions
 
