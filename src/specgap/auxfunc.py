@@ -202,16 +202,6 @@ class JSolution:
     def h(self) -> float:
         return self.profile.length / self.mesh
 
-    def J_at(self, x) -> np.ndarray:
-        """Piecewise-linear read of J (periodic wrap on the circle)."""
-        x = np.asarray(x, dtype=float)
-        if self.profile.geometry is Geometry.CIRCLE:
-            L = self.profile.length
-            tp = np.concatenate([self.t, [self.t[0] + L]])
-            Jp = np.concatenate([self.J, [self.J[0]]])
-            return np.interp(np.mod(x - self.t[0], L) + self.t[0], tp, Jp)
-        return np.interp(x, self.t, self.J)
-
 
 def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
             mesh: int = 1024) -> JSolution:

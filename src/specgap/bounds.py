@@ -43,6 +43,11 @@ def _validate_n(n: float) -> None:
         raise DomainError(f"dimension must exceed 1, got {n}")
 
 
+def _validate_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def lichnerowicz(n: float, K: float) -> float:
     """n K, valid only under positive curvature."""
     _validate_n(n)
@@ -109,8 +114,7 @@ def aubry(n: float, K: float, p: float, k_bar: float, C: float) -> float:
 
 def main_bound(n: float, K: float, D: float, alpha: float = 1.0) -> float:
     """alpha times the model value lambda1_model(n, K, D)."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    _validate_alpha(alpha)
     from .eigen import lambda1_model
     return alpha * lambda1_model(n, K, D)
 
@@ -163,6 +167,7 @@ def bound_report(n: float, K: float, D: float, alpha: float = 1.0,
     """
     from .eigen import lambda1_model
 
+    _validate_alpha(alpha)
     model = lambda1_model(n, K, D)
     zy = zhong_yang(D)
     s_opt, clamped = shi_zhang_maximizer(n, K, D)

@@ -7,7 +7,8 @@ Every subcommand assembles one record (or a stream of records) shaped as
 and prints it as an aligned table (6 significant digits), JSON, or CSV
 (both at full round-trip precision).  Exit codes: 0 success, 2 bad
 input, 3 numerical failure.  A flat key=value config file supplies
-defaults below explicit flags.
+option defaults below explicit flags to bound, match, jsolve and
+perturb.
 """
 
 from __future__ import annotations
@@ -105,11 +106,16 @@ def _csv_columns(flats: list[dict]) -> list[str]:
     return cols
 
 
-def _emit(records: list[dict], fmt: str) -> None:
+def _emit(payload, fmt: str) -> None:
+    """Print one record (a dict) or a list of records.
+
+    JSON keeps the shape it is given: an object for a single-record
+    subcommand, a list (of any length) for sweep and verify.
+    """
     if fmt == "json":
-        payload = records[0] if len(records) == 1 else records
         click.echo(json.dumps(_jsonify(payload), indent=2))
         return
+    records = [payload] if isinstance(payload, dict) else payload
     if fmt == "csv":
         flats = [_flatten(r) for r in records]
         cols = _csv_columns(flats)
@@ -128,44 +134,24 @@ def _emit(records: list[dict], fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config file support: flags > config > defaults
+# key=value files (config and sweep grids)
 
-def _parse_config(path: str) -> dict:
-    values = {}
+def _key_values(path: str):
+    """Yield (lineno, key, value) for each 'key = value' line of PATH.
+
+    '#' starts a comment; blank lines are skipped.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            text = line.split("#", 1)[0].strip()
+            if not text:
                 continue
             if "=" not in text:
                 raise click.UsageError(
-                    f"{path}, line {lineno}: expected key=value, "
+                    f"{path}, line {lineno}: expected 'key = value', "
                     f"got {text!r}")
             key, _, val = text.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _apply_config(ctx, values: dict) -> dict:
-    cfg = (ctx.obj or {}).get("config_values") or {}
-    if not cfg:
-        return values
-    by_name = {p.name: p for p in ctx.command.params}
-    out = dict(values)
-    for name in values:
-        if (name in cfg and name in by_name
-                and ctx.get_parameter_source(name)
-                == click.core.ParameterSource.DEFAULT):
-            param = by_name[name]
-            out[name] = param.type.convert(cfg[name], param, ctx)
-    return out
-
-
-def _require(values: dict, names: dict) -> None:
-    missing = [flag for key, flag in names.items() if values[key] is None]
-    if missing:
-        raise click.UsageError("missing required parameter(s): "
-                               + ", ".join(missing))
+            yield lineno, key.strip(), val.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +171,10 @@ class _ErrorMappingGroup(click.Group):
             raise wrapped from exc
 
 
+# subcommands whose option defaults a --config file supplies
+_CONFIGURED = ("bound", "match", "jsolve", "perturb")
+
+
 @click.group(cls=_ErrorMappingGroup,
              context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
@@ -192,8 +182,10 @@ class _ErrorMappingGroup(click.Group):
 @click.pass_context
 def cli(ctx, config):
     """Spectral-gap model eigenvalues, bounds, and verification tools."""
-    ctx.ensure_object(dict)
-    ctx.obj["config_values"] = _parse_config(config) if config else {}
+    if config:
+        values = {key.replace("-", "_"): val
+                  for _, key, val in _key_values(config)}
+        ctx.default_map = {name: values for name in _CONFIGURED}
 
 
 main = cli
@@ -203,43 +195,35 @@ main = cli
 # bound
 
 @cli.command()
-@click.option("-n", "--dim", "n", type=float, default=None,
+@click.option("-n", "--dim", "n", type=float, required=True,
               help="manifold dimension")
-@click.option("-K", "--curv", "K", type=float, default=None,
+@click.option("-K", "--curv", "K", type=float, required=True,
               help="Ricci lower bound per dimension")
-@click.option("-D", "--diameter", "D", type=float, default=None)
+@click.option("-D", "--diameter", "D", type=float, required=True)
 @click.option("-a", "--alpha", type=float, default=1.0, show_default=True)
 @click.option("--aubry-C", "aubry_c", type=float, default=None,
               help="structural constant C(n,p)")
 @click.option("--aubry-kbar", type=float, default=None)
 @click.option("--aubry-p", type=float, default=None)
 @_FMT
-@click.pass_context
-def bound(ctx, n, K, D, alpha, aubry_c, aubry_kbar, aubry_p, fmt):
+def bound(n, K, D, alpha, aubry_c, aubry_kbar, aubry_p, fmt):
     """All applicable lower bounds at one (n, K, D), with ordering flags."""
-    vals = _apply_config(ctx, dict(n=n, K=K, D=D, alpha=alpha,
-                                   aubry_c=aubry_c, aubry_kbar=aubry_kbar,
-                                   aubry_p=aubry_p))
-    _require(vals, {"n": "-n", "K": "-K", "D": "-D"})
     aubry_inputs = None
-    given = [vals["aubry_p"], vals["aubry_kbar"], vals["aubry_c"]]
+    given = [aubry_p, aubry_kbar, aubry_c]
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise click.UsageError(
                 "--aubry-p, --aubry-kbar, --aubry-C must be given together")
         aubry_inputs = tuple(given)
     t0 = time.perf_counter()
-    rep = bounds_mod.bound_report(vals["n"], vals["K"], vals["D"],
-                                  vals["alpha"], aubry_inputs)
+    rep = bounds_mod.bound_report(n, K, D, alpha, aubry_inputs)
     dt = time.perf_counter() - t0
-    query = {"n": vals["n"], "K": vals["K"], "D": vals["D"],
-             "alpha": vals["alpha"]}
+    query = {"n": n, "K": K, "D": D, "alpha": alpha}
     if aubry_inputs is not None:
-        query.update(aubry_p=aubry_inputs[0], aubry_kbar=aubry_inputs[1],
-                     aubry_C=aubry_inputs[2])
+        query.update(aubry_p=aubry_p, aubry_kbar=aubry_kbar, aubry_C=aubry_c)
     results = {k: v for k, v in rep.as_dict().items() if k not in query}
-    _emit([_record(query, results, dict(rep.consistency),
-                   {"compute_s": dt})], fmt)
+    _emit(_record(query, results, dict(rep.consistency),
+                  {"compute_s": dt}), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +234,23 @@ _GRID_KEYS = ("n", "k", "d", "alpha")
 
 def _parse_grid(path: str) -> dict:
     axes: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise click.UsageError(
-                    f"{path}, line {lineno}: expected 'key = values', "
-                    f"got {text!r}")
-            key, _, rhs = text.partition("=")
-            key = key.strip().lower()
-            if key not in _GRID_KEYS:
-                raise click.UsageError(
-                    f"{path}, line {lineno}: unknown axis {key!r} "
-                    f"(expected one of {', '.join(_GRID_KEYS)})")
-            if key in axes:
-                raise click.UsageError(
-                    f"{path}, line {lineno}: duplicate axis {key!r}")
-            try:
-                vals = [float(tok) for tok in rhs.replace(",", " ").split()]
-            except ValueError as exc:
-                raise click.UsageError(
-                    f"{path}, line {lineno}: {exc}") from None
-            if not vals:
-                raise click.UsageError(
-                    f"{path}, line {lineno}: axis {key!r} has no values")
-            axes[key] = vals
+    for lineno, key, rhs in _key_values(path):
+        key = key.lower()
+        if key not in _GRID_KEYS:
+            raise click.UsageError(
+                f"{path}, line {lineno}: unknown axis {key!r} "
+                f"(expected one of {', '.join(_GRID_KEYS)})")
+        if key in axes:
+            raise click.UsageError(
+                f"{path}, line {lineno}: duplicate axis {key!r}")
+        try:
+            vals = [float(tok) for tok in rhs.replace(",", " ").split()]
+        except ValueError as exc:
+            raise click.UsageError(f"{path}, line {lineno}: {exc}") from None
+        if not vals:
+            raise click.UsageError(
+                f"{path}, line {lineno}: axis {key!r} has no values")
+        axes[key] = vals
     for req in ("n", "k", "d"):
         if req not in axes:
             raise click.UsageError(f"{path}: missing required axis {req!r}")
@@ -314,39 +288,32 @@ def sweep(gridfile, fmt):
 # match
 
 @cli.command()
-@click.option("-N", "--dim", "N", type=float, default=None,
+@click.option("-N", "--dim", "N", type=float, required=True,
               help="model dimension (integer not required)")
-@click.option("-K", "--curv", "K", type=float, default=None,
+@click.option("-K", "--curv", "K", type=float, required=True,
               help="model curvature")
-@click.option("-l", "--lam", "lam", type=float, default=None,
+@click.option("-l", "--lam", "lam", type=float, required=True,
               help="model eigenvalue")
-@click.option("-u", "--target", "u_star", type=float, default=None,
+@click.option("-u", "--target", "u_star", type=float, required=True,
               help="maximum value to match, in (0, 1]")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @_FMT
-@click.pass_context
-def match(ctx, N, K, lam, u_star, tol, fmt):
+def match(N, K, lam, u_star, tol, fmt):
     """Start point a whose solution attains the prescribed maximum."""
-    vals = _apply_config(ctx, dict(N=N, K=K, lam=lam, u_star=u_star,
-                                   tol=tol))
-    _require(vals, {"N": "-N", "K": "-K", "lam": "-l", "u_star": "-u"})
-    params = ModelParams(vals["N"], vals["K"],
-                         branch_for_curvature(vals["K"], family="pole"))
+    params = ModelParams(N, K, branch_for_curvature(K, family="pole"))
     t0 = time.perf_counter()
-    res = matching_mod.match_maximum(params, vals["lam"], vals["u_star"],
-                                     tol=vals["tol"])
+    res = matching_mod.match_maximum(params, lam, u_star, tol=tol)
     try:
-        mmin = matching_mod.m_min(params, vals["lam"])
+        mmin = matching_mod.m_min(params, lam)
     except CertifiedInfinite:
         mmin = math.nan
     dt = time.perf_counter() - t0
-    query = {"N": vals["N"], "K": vals["K"], "lam": vals["lam"],
-             "u_star": vals["u_star"], "tol": vals["tol"]}
+    query = {"N": N, "K": K, "lam": lam, "u_star": u_star, "tol": tol}
     results = {"a": res.a, "case": res.case, "attained": res.attained,
                "residual": res.residual, "m_min": mmin}
     flags = {"boundary": res.boundary,
-             "converged": res.boundary or res.residual <= vals["tol"]}
-    _emit([_record(query, results, flags, {"compute_s": dt})], fmt)
+             "converged": res.boundary or res.residual <= tol}
+    _emit(_record(query, results, flags, {"compute_s": dt}), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +323,11 @@ def match(ctx, N, K, lam, u_star, tol, fmt):
 @click.argument("profile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--geometry", type=click.Choice(["circle", "interval"]),
               default="circle", show_default=True)
-@click.option("-L", "--length", "length", type=float, default=None,
+@click.option("-L", "--length", "length", type=float, required=True,
               help="carrier length (circumference or interval length)")
-@click.option("-n", "--dim", "n", type=int, default=None,
+@click.option("-n", "--dim", "n", type=int, required=True,
               help="ambient dimension the profile refers to")
-@click.option("-K", "--curv", "K", type=float, default=None)
+@click.option("-K", "--curv", "K", type=float, required=True)
 @click.option("--tau", type=float, default=2.0, show_default=True)
 @click.option("--delta", type=float, default=None,
               help="flag whether max |J-1| <= delta")
@@ -368,71 +335,56 @@ def match(ctx, N, K, lam, u_star, tol, fmt):
 @click.option("--kbar-p", "kbar_p", type=float, default=1.0,
               show_default=True)
 @_FMT
-@click.pass_context
-def jsolve(ctx, profile, geometry, length, n, K, tau, delta, mesh, kbar_p,
-           fmt):
+def jsolve(profile, geometry, length, n, K, tau, delta, mesh, kbar_p, fmt):
     """Auxiliary multiplier J for the curvature profile in PROFILE (CSV
     't,rho')."""
-    vals = _apply_config(ctx, dict(geometry=geometry, length=length, n=n,
-                                   K=K, tau=tau, delta=delta, mesh=mesh,
-                                   kbar_p=kbar_p))
-    _require(vals, {"length": "-L", "n": "-n", "K": "-K"})
     t0 = time.perf_counter()
-    prof = CurvatureProfile.from_csv(profile, vals["length"], vals["n"],
-                                     Geometry(vals["geometry"]))
-    sol = solve_J(prof, vals["K"], vals["tau"], vals["mesh"])
+    prof = CurvatureProfile.from_csv(profile, length, n, Geometry(geometry))
+    sol = solve_J(prof, K, tau, mesh)
     rep = check_lemma_J(sol)
-    kb = k_bar(prof, vals["K"], vals["kbar_p"])
+    kb = k_bar(prof, K, kbar_p)
     dt = time.perf_counter() - t0
     dev = float(np.max(np.abs(sol.J - 1.0)))
-    query = {"profile": os.fspath(profile), "geometry": vals["geometry"],
-             "length": vals["length"], "n": vals["n"], "K": vals["K"],
-             "tau": vals["tau"], "mesh": vals["mesh"],
-             "kbar_p": vals["kbar_p"]}
+    query = {"profile": os.fspath(profile), "geometry": geometry,
+             "length": length, "n": n, "K": K, "tau": tau, "mesh": mesh,
+             "kbar_p": kbar_p}
     results = {"sigma": sol.sigma, "sigma_tilde": sol.sigma_tilde,
                "k_bar": kb, "J_min": float(np.min(sol.J)),
                "J_max": float(np.max(sol.J)), "max_J_minus_1": dev,
                "residual_sup": rep.residual_sup}
     flags = {"positive": rep.positive, "mean_one": rep.mean_one,
              "sigma_nonneg": rep.sigma_nonneg}
-    if vals["delta"] is not None:
-        query["delta"] = vals["delta"]
-        flags["j_within_delta"] = dev <= vals["delta"]
-    _emit([_record(query, results, flags, {"compute_s": dt})], fmt)
+    if delta is not None:
+        query["delta"] = delta
+        flags["j_within_delta"] = dev <= delta
+    _emit(_record(query, results, flags, {"compute_s": dt}), fmt)
 
 
 # ---------------------------------------------------------------------------
 # perturb
 
 @cli.command()
-@click.option("-n", "--dim", "n", type=float, default=None)
-@click.option("-d", "--delta", type=float, default=None)
-@click.option("-l", "--lambda1", "lambda1", type=float, default=None)
-@click.option("-K", "--curv", "K", type=float, default=None)
+@click.option("-n", "--dim", "n", type=float, required=True)
+@click.option("-d", "--delta", type=float, required=True)
+@click.option("-l", "--lambda1", "lambda1", type=float, required=True)
+@click.option("-K", "--curv", "K", type=float, required=True)
 @click.option("--sigma", type=float, default=0.0, show_default=True)
-@click.option("--y-grid", "y_grid", type=int, default=1001,
+@click.option("--y-grid", "y_grid", type=click.IntRange(min=1), default=1001,
               show_default=True, help="interior sample count for the "
               "condition window")
 @_FMT
-@click.pass_context
-def perturb(ctx, n, delta, lambda1, K, sigma, y_grid, fmt):
+def perturb(n, delta, lambda1, K, sigma, y_grid, fmt):
     """Perturbed parameter ledger with condition margins."""
-    vals = _apply_config(ctx, dict(n=n, delta=delta, lambda1=lambda1, K=K,
-                                   sigma=sigma, y_grid=y_grid))
-    _require(vals, {"n": "-n", "delta": "-d", "lambda1": "-l", "K": "-K"})
     t0 = time.perf_counter()
-    pp = perturbation_mod.perturbed_params(vals["n"], vals["delta"],
-                                           vals["lambda1"], vals["K"],
-                                           vals["sigma"])
-    y = np.linspace(pp.y_lo, pp.y_hi, vals["y_grid"] + 2)[1:-1]
+    pp = perturbation_mod.perturbed_params(n, delta, lambda1, K, sigma)
+    y = np.linspace(pp.y_lo, pp.y_hi, y_grid + 2)[1:-1]
     cond = perturbation_mod.verify_conditions(pp, y)
     j_range = np.linspace(1.0 - pp.delta, 1.0 + pp.delta, 101)
     term3 = perturbation_mod.check_term_III(pp.n, pp.K, pp.N, pp.K_bar,
                                             pp.sigma, j_range)
     dt = time.perf_counter() - t0
-    query = {"n": vals["n"], "delta": vals["delta"],
-             "lambda1": vals["lambda1"], "K": vals["K"],
-             "sigma": vals["sigma"]}
+    query = {"n": n, "delta": delta, "lambda1": lambda1, "K": K,
+             "sigma": sigma}
     results = {"lambda_bar": pp.lambda_bar, "N": pp.N, "alpha": pp.alpha,
                "beta": pp.beta, "K_bar": pp.K_bar, "y_lo": pp.y_lo,
                "y_hi": pp.y_hi, "min_cond1": cond.min_cond1,
@@ -440,7 +392,7 @@ def perturb(ctx, n, delta, lambda1, K, sigma, y_grid, fmt):
                "min_term_III": term3}
     flags = {"cond1": cond.min_cond1 >= 0, "cond2": cond.min_cond2 >= 0,
              "cond3": cond.min_cond3 >= 0, "term_III": term3 >= 0}
-    _emit([_record(query, results, flags, {"compute_s": dt})], fmt)
+    _emit(_record(query, results, flags, {"compute_s": dt}), fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     TargetBelowMinimum,
 )
-from .model import Branch, ModelParams, ModelSolution
+from .model import Branch, ModelParams
 
 __all__ = [
     "MatchResult",
@@ -72,22 +72,14 @@ class ReflectionReport:
     max_product_err: float
 
 
-def _pole_params(params: ModelParams) -> ModelParams:
-    """The comparison family that starts at a singular endpoint."""
-    if params.curv > 0:
-        return params if params.branch is Branch.TAN else \
-            ModelParams(params.dim, params.curv, Branch.TAN)
-    if params.curv < 0:
-        return params if params.branch is Branch.COTH else \
-            ModelParams(params.dim, params.curv, Branch.COTH)
-    return params
+def _family(params: ModelParams, family: str) -> ModelParams:
+    """The same (N, Kbar) on the branch of FAMILY ("pole" or "symmetric").
 
-
-def _even_params(params: ModelParams) -> ModelParams:
-    """The branch with even weight for the same (N, Kbar)."""
-    if params.curv < 0 and params.branch is not Branch.TANH:
-        return ModelParams(params.dim, params.curv, Branch.TANH)
-    return params
+    "pole" is the comparison family that starts at a singular endpoint;
+    "symmetric" is the branch with even weight.
+    """
+    return ModelParams(params.dim, params.curv,
+                       model.branch_for_curvature(params.curv, family))
 
 
 def constant_drift_limit(params: ModelParams, lambda_bar: float) -> float:
@@ -114,7 +106,7 @@ def m_min(params: ModelParams, lambda_bar: float) -> float:
     threshold), and reports the boundary value 1 at the tan anchor
     lambda_bar = N Kbar.
     """
-    pp = _pole_params(params)
+    pp = _family(params, "pole")
     if pp.branch is Branch.ZERO:
         return 1.0
     if pp.branch is Branch.TAN:
@@ -164,6 +156,16 @@ def _family_max(params: ModelParams, lambda_bar: float, a: float):
     return sol.m
 
 
+def _match_root(params: ModelParams, lambda_bar: float, u_star: float,
+                lo: float, hi: float, case: str) -> MatchResult:
+    """Brent root of m(a) = u_star for starts a in the bracket [lo, hi]."""
+    a_root = brentq(lambda a: _family_max(params, lambda_bar, a) - u_star,
+                    lo, hi, xtol=1e-13, rtol=8.9e-16)
+    attained = _family_max(params, lambda_bar, a_root)
+    return MatchResult(params, a_root, case, u_star, attained,
+                       attained - u_star)
+
+
 def match_maximum(params: ModelParams, lambda_bar: float, u_star: float,
                   tol: float = 1e-8) -> MatchResult:
     """Find the start a whose solution attains max w = u_star.
@@ -185,13 +187,13 @@ def match_maximum(params: ModelParams, lambda_bar: float, u_star: float,
         return MatchResult(params, a, "zero-symmetric", u_star, 1.0, 0.0)
 
     if params.curv > 0:
-        return _match_tan(_pole_params(params), lambda_bar, u_star, tol)
+        return _match_tan(_family(params, "pole"), lambda_bar, u_star, tol)
     return _match_negative(params, lambda_bar, u_star, tol)
 
 
 def _match_symmetric(params: ModelParams, lambda_bar: float,
                      u_star: float, case: str) -> MatchResult:
-    even = _even_params(params)
+    even = _family(params, "symmetric")
     a = -0.5 * symmetric_interval_length(even, lambda_bar)
     return MatchResult(even, a, case, u_star, 1.0, 1.0 - u_star)
 
@@ -224,14 +226,8 @@ def _match_tan(params: ModelParams, lambda_bar: float, u_star: float,
     if u_star <= lo_val:
         return MatchResult(params, pole, "tan-pole", u_star, lo_val,
                            lo_val - u_star, boundary=True)
-
-    def f(a):
-        return _family_max(params, lambda_bar, a) - u_star
-
-    a_root = brentq(f, pole, a_sym, xtol=1e-13, rtol=8.9e-16)
-    attained = _family_max(params, lambda_bar, a_root)
-    return MatchResult(params, a_root, "tan-interior", u_star, attained,
-                       attained - u_star)
+    return _match_root(params, lambda_bar, u_star, pole, a_sym,
+                       "tan-interior")
 
 
 def _walk_until(fvals_needed, start, step_fn, max_steps=_WALK_STEPS):
@@ -248,8 +244,8 @@ def _match_negative(params: ModelParams, lambda_bar: float, u_star: float,
                     tol: float) -> MatchResult:
     s = params.scale
     thresh = params.essential_threshold
-    coth = _pole_params(params)
-    tanh = _even_params(params)
+    coth = _family(params, "pole")
+    tanh = _family(params, "symmetric")
 
     if u_star >= 1.0 - 1e-12:
         return _match_symmetric(params, lambda_bar, u_star,
@@ -275,29 +271,19 @@ def _match_negative(params: ModelParams, lambda_bar: float, u_star: float,
 
         if u_star < m_const:
             # coth family: m increases from m_min (a -> 0) to m_const
-            def f(a):
-                return _family_max(coth, lambda_bar, a) - u_star
-
-            a_hi = _walk_until(lambda a: f(a) > 0.0, 0.25 / s,
-                               lambda a0, k: a0 * 1.6 ** k)
-            a_root = brentq(f, coth.domain().lo, a_hi,
-                            xtol=1e-13, rtol=8.9e-16)
-            attained = _family_max(coth, lambda_bar, a_root)
-            return MatchResult(coth, a_root, "neg-super-coth", u_star,
-                               attained, attained - u_star)
+            a_hi = _walk_until(
+                lambda a: _family_max(coth, lambda_bar, a) - u_star > 0.0,
+                0.25 / s, lambda a0, k: a0 * 1.6 ** k)
+            return _match_root(coth, lambda_bar, u_star, coth.domain().lo,
+                               a_hi, "neg-super-coth")
 
         # tanh family: m decreases from 1 (symmetric start) to m_const
         a_sym = -0.5 * symmetric_interval_length(tanh, lambda_bar)
-
-        def f(a):
-            return _family_max(tanh, lambda_bar, a) - u_star
-
-        a_hi = _walk_until(lambda a: f(a) < 0.0, a_sym,
-                           lambda a0, k: a0 + (2.0 ** k) * 0.25 / s)
-        a_root = brentq(f, a_sym, a_hi, xtol=1e-13, rtol=8.9e-16)
-        attained = _family_max(tanh, lambda_bar, a_root)
-        return MatchResult(tanh, a_root, "neg-super-tanh", u_star,
-                           attained, attained - u_star)
+        a_hi = _walk_until(
+            lambda a: _family_max(tanh, lambda_bar, a) - u_star < 0.0,
+            a_sym, lambda a0, k: a0 + (2.0 ** k) * 0.25 / s)
+        return _match_root(tanh, lambda_bar, u_star, a_sym, a_hi,
+                           "neg-super-tanh")
 
     # below the essential threshold: tanh starts left of the critical
     # position; m sweeps (0, 1] on [a_sym, a_crit)
@@ -336,12 +322,7 @@ def _match_negative(params: ModelParams, lambda_bar: float, u_star: float,
             break
     if a_hi is None:
         raise BracketFailure("bracket walk exhausted its step budget")
-
-    f = lambda a: m_of(a) - u_star
-    a_root = brentq(f, a_lo, a_hi, xtol=1e-13, rtol=8.9e-16)
-    attained = m_of(a_root)
-    return MatchResult(tanh, a_root, "neg-sub", u_star, attained,
-                       attained - u_star)
+    return _match_root(tanh, lambda_bar, u_star, a_lo, a_hi, "neg-sub")
 
 
 def r_epsilon(params: ModelParams, lambda_bar: float, a: float, eps: float,

@@ -166,11 +166,6 @@ class Domain:
     lo_singular: bool
     hi_singular: bool
 
-    def contains(self, t: float, closed: bool = True) -> bool:
-        if closed:
-            return self.lo <= t <= self.hi
-        return self.lo < t < self.hi
-
 
 def drift_eval(params: ModelParams, t):
     """Drift T(t); t may be a scalar or an array, strictly inside the domain."""

@@ -162,6 +162,13 @@ def test_bound_report_flat():
     assert rep.all_ok
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 5.0])
+def test_bound_report_rejects_alpha_outside_unit_interval(alpha):
+    # main_bound = alpha * model is a lower bound only for alpha in (0, 1]
+    with pytest.raises(DomainError):
+        bound_report(3, 1.0, 1.0, alpha=alpha)
+
+
 def test_bound_report_as_dict_omits_missing():
     d = bound_report(3, 0.0, 1.0).as_dict()
     assert "lichnerowicz" not in d

@@ -17,6 +17,26 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture
+def profile(tmp_path):
+    """A 't,rho' CSV on the circle of length 2 pi with a Gaussian dip."""
+    path = tmp_path / "prof.csv"
+    rows = ["t,rho"]
+    for i in range(65):
+        t = 2 * math.pi * i / 64.0
+        rho = 2.0 - 0.5 * math.exp(-8.0 * (t - math.pi) ** 2)
+        rows.append(f"{t},{rho}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _json_without_timings(res):
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    del rec["timings"]
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # bound: encodings carry identical content
 
@@ -84,6 +104,25 @@ def test_infeasible_delta_exit_2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("y_grid", ["0", "-3"])
+def test_perturb_empty_y_grid_exit_2(runner, y_grid):
+    res = runner.invoke(cli, ["perturb", "-n", "3", "-d", "0.1", "-l", "1",
+                              "-K", "1", "--y-grid", y_grid])
+    assert res.exit_code == 2
+    assert "--y-grid" in res.output
+
+
+def test_alpha_above_one_exit_2(runner, tmp_path):
+    res = runner.invoke(cli, ["bound", "-n", "3", "-K", "1", "-D", "1",
+                              "--alpha", "5"])
+    assert res.exit_code == 2
+    assert "alpha" in res.output
+    grid = tmp_path / "g.txt"
+    grid.write_text("n = 3\nK = 1\nD = 1\nalpha = 5\n")
+    res = runner.invoke(cli, ["sweep", str(grid)])
+    assert res.exit_code == 2
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -104,6 +143,51 @@ def test_flags_override_config(runner, tmp_path):
     rec = json.loads(res.output)
     assert rec["query"]["D"] == 1.0  # flag wins
     assert rec["query"]["alpha"] == 0.5  # config fills the default
+
+
+def test_config_satisfies_required_options(runner, tmp_path):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("K = 1\n")
+    res = runner.invoke(cli, ["--config", str(cfg), "bound",
+                              "-n", "3", "-D", "2", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["query"]["K"] == 1.0
+    res = runner.invoke(cli, ["--config", str(cfg), "bound", "-n", "3"])
+    assert res.exit_code == 2
+    assert "-D" in res.output
+
+
+def test_config_inline_comment(runner, tmp_path):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("# query\nn = 3\nK = 1  # per dimension\nD = 2\n")
+    res = runner.invoke(cli, ["--config", str(cfg), "bound",
+                              "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["query"]["K"] == 1.0
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("match", "N = 3\nK = -1\nlam = 2\nu_star = 0.5\ntol = 1e-9\n",
+     ["-N", "3", "-K", "-1", "-l", "2", "-u", "0.5", "--tol", "1e-9"]),
+    ("jsolve", "length = 6.283185307179586\nn = 3\nK = 1\nmesh = 256\n"
+     "geometry = circle\ndelta = 0.5\nkbar-p = 2\n",
+     ["-L", "6.283185307179586", "-n", "3", "-K", "1", "--mesh", "256",
+      "--delta", "0.5", "--kbar-p", "2"]),
+    ("perturb", "n = 3\ndelta = 0.1\nlambda1 = 1\nK = 1\nsigma = 0.01\n"
+     "y_grid = 51\n",
+     ["-n", "3", "-d", "0.1", "-l", "1", "-K", "1", "--sigma", "0.01",
+      "--y-grid", "51"]),
+])
+def test_config_supplies_subcommand_defaults(runner, tmp_path, profile,
+                                             command, config, flags):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(config)
+    args = [str(profile)] if command == "jsolve" else []
+    from_flags = _json_without_timings(runner.invoke(
+        cli, [command] + args + flags + ["--format", "json"]))
+    from_config = _json_without_timings(runner.invoke(
+        cli, ["--config", str(cfg), command] + args + ["--format", "json"]))
+    assert from_config == from_flags
 
 
 def test_config_malformed_reports_line(runner, tmp_path):
@@ -137,6 +221,19 @@ def test_sweep_grid_order_and_size(runner, tmp_path):
     assert len(rows) == 4
     assert [r["query.n"] for r in rows] == ["3", "3", "4", "4"]
     assert [r["query.D"] for r in rows] == ["1", "2", "1", "2"]
+
+
+def test_list_json_for_one_row(runner, tmp_path):
+    grid = tmp_path / "g.txt"
+    grid.write_text("n = 3\nK = -1\nD = 1\n")
+    res = runner.invoke(cli, ["sweep", str(grid), "--format", "json"])
+    assert res.exit_code == 0, res.output
+    recs = json.loads(res.output)
+    assert isinstance(recs, list) and len(recs) == 1
+    assert recs[0]["query"]["D"] == 1.0
+    res = runner.invoke(cli, ["verify", "S^3(r=2", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)) == 1
 
 
 def test_sweep_malformed_grid(runner, tmp_path):
@@ -195,15 +292,8 @@ def test_match_subthreshold_m_min_is_nan_string(runner):
     assert rec["results"]["case"] == "neg-sub"
 
 
-def test_jsolve_record(runner, tmp_path):
-    prof = tmp_path / "prof.csv"
-    rows = ["t,rho"]
-    for i in range(65):
-        t = 2 * math.pi * i / 64.0
-        rho = 2.0 - 0.5 * math.exp(-8.0 * (t - math.pi) ** 2)
-        rows.append(f"{t},{rho}")
-    prof.write_text("\n".join(rows) + "\n")
-    res = runner.invoke(cli, ["jsolve", str(prof), "-L", str(2 * math.pi),
+def test_jsolve_record(runner, profile):
+    res = runner.invoke(cli, ["jsolve", str(profile), "-L", str(2 * math.pi),
                               "-n", "3", "-K", "1", "--mesh", "256",
                               "--format", "json"])
     assert res.exit_code == 0, res.output
