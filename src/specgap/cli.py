@@ -173,6 +173,7 @@ class _ErrorMappingGroup(click.Group):
 
 # subcommands whose option defaults a --config file supplies
 _CONFIGURED = ("bound", "match", "jsolve", "perturb")
+_NOT_CONFIGURED = ("help", "fmt", "profile")  # not query options
 
 
 @click.group(cls=_ErrorMappingGroup,
@@ -184,7 +185,8 @@ def cli(ctx, config):
     """Spectral-gap model eigenvalues, bounds, and verification tools."""
     if config:
         values = {key.replace("-", "_"): val
-                  for _, key, val in _key_values(config)}
+                  for _, key, val in _key_values(config)
+                  if key not in _NOT_CONFIGURED}
         ctx.default_map = {name: values for name in _CONFIGURED}
 
 

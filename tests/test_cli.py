@@ -166,6 +166,20 @@ def test_config_inline_comment(runner, tmp_path):
     assert json.loads(res.output)["query"]["K"] == 1.0
 
 
+def test_config_ignores_non_query_keys(runner, tmp_path):
+    # help, the output encoding and jsolve's PROFILE are not query options
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("help = 1\nfmt = json\nprofile = nowhere.csv\n"
+                   "n = 3\nK = 1\nD = 2\n")
+    res = runner.invoke(cli, ["--config", str(cfg), "bound",
+                              "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("schema_version,")
+    res = runner.invoke(cli, ["--config", str(cfg), "bound"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("schema_version ")
+
+
 @pytest.mark.parametrize("command,config,flags", [
     ("match", "N = 3\nK = -1\nlam = 2\nu_star = 0.5\ntol = 1e-9\n",
      ["-N", "3", "-K", "-1", "-l", "2", "-u", "0.5", "--tol", "1e-9"]),
