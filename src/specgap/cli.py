@@ -298,13 +298,15 @@ def sweep(gridfile, fmt):
               help="model eigenvalue")
 @click.option("-u", "--target", "u_star", type=float, required=True,
               help="maximum value to match, in (0, 1]")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True,
+              help="flags.converged holds when the residual is at most "
+                   "this; the root find does not read it")
 @_FMT
 def match(N, K, lam, u_star, tol, fmt):
     """Start point a whose solution attains the prescribed maximum."""
     params = ModelParams(N, K, branch_for_curvature(K, family="pole"))
     t0 = time.perf_counter()
-    res = matching_mod.match_maximum(params, lam, u_star, tol=tol)
+    res = matching_mod.match_maximum(params, lam, u_star)
     try:
         mmin = matching_mod.m_min(params, lam)
     except CertifiedInfinite:

@@ -12,17 +12,19 @@ solves v(0) = 0, v'(0) = 1 and its first critical point sits at L/2.
 That formulation never integrates toward a singular pole of the drift
 (the critical point is located transversally in the interior), which is
 what makes eigenvalues at the spherical anchor both fast and accurate.
-Asymmetric intervals use the general first-maximum distance d(a, T, lam),
-which is strictly decreasing in lam.
+Asymmetric intervals use the general first-maximum distance d(a, T, lam);
+either length fixes lambda_1 as a Brent root in lam (about 7 IVP solves).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from . import model
 from .bounds import shi_zhang
@@ -44,7 +46,8 @@ __all__ = [
 ]
 
 _MAX_WIDEN = 40
-_MAX_BISECT = 90
+_MAX_ITER = 100
+_REACH = 1.5  # capped reach in target lengths: the lower seed measures finite
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class EigenQuery:
 
 
 # ---------------------------------------------------------------------------
-# capped length measurements (sign oracles for the shooting bisection)
+# capped length measurements (what the root find matches to a target)
 
 def _turn_distance(params: ModelParams, lam: float, a: float, *,
                    odd: bool = False, reach: float | None = None) -> float:
@@ -96,29 +99,24 @@ def _turn_distance(params: ModelParams, lam: float, a: float, *,
 
 
 def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
-    """First nontrivial Neumann eigenvalue by bisection on a length measure.
+    """First nontrivial Neumann eigenvalue by a Brent root find in lam.
 
     The measured length (symmetric half-length, or d(a, T, lam) for
-    asymmetric intervals) is strictly decreasing in lam, so the sign of
-    measure(lam) - target pins lambda_1 between any crossing pair.
+    asymmetric intervals) is strictly decreasing in lam, so
+    1/measure(lam) - 1/target rises through zero at lambda_1 (it is
+    -1/target where no w' zero falls within the reach).
     """
     params, L = query.params, query.length
     if query.symmetric:
-        target = 0.5 * L
-        reach = 0.5 * L * 1.02 + 0.01 * min(L, 1.0)
-
-        def measure(lam):
-            return _turn_distance(params, lam, 0.0, odd=True, reach=reach)
+        target, a, odd = 0.5 * L, 0.0, True
     else:
-        target = L
-        reach_abs = query.b + 0.02 * L
+        target, a, odd = L, query.a, False
+    reach = a + _REACH * target
 
-        def measure(lam):
-            return _turn_distance(params, lam, query.a, reach=reach_abs)
-
-    def below(lam):
-        # True when lam < lambda_1, i.e. the measured length overshoots
-        return measure(lam) > target
+    @cache  # brentq re-evaluates both bracket ends: solve each lam once
+    def f(lam):
+        return (1.0 / _turn_distance(params, lam, a, odd=odd, reach=reach)
+                - 1.0 / target)
 
     # interval-position monotonicity makes the central interval the
     # smallest eigenvalue among intervals of this length, and the
@@ -127,7 +125,7 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     # mops those up
     lo = 0.9 * max(shi_zhang(params.dim, params.curv, L), 1e-12)
     for _ in range(_MAX_WIDEN):
-        if below(lo):
+        if f(lo) < 0.0:
             break
         lo /= 16.0
     else:
@@ -136,29 +134,26 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     hi = 8.0 * max(math.pi ** 2 / L ** 2,
                    params.dim * max(params.curv, 0.0))
     for _ in range(_MAX_WIDEN):
-        if not below(hi):
+        if f(hi) >= 0.0:
             break
         hi *= 4.0
     else:
         raise BracketFailure("no upper bracket for the eigenvalue")
 
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= query.tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    lam, info = brentq(f, lo, hi, xtol=query.tol * lo, rtol=query.tol,
+                       maxiter=_MAX_ITER, full_output=True, disp=False)
+    if not info.converged:
+        raise BracketFailure(f"root find did not converge in {_MAX_ITER} "
+                             f"iterations ({info.flag})")
+    return lam
 
 
 def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:
     """Model eigenvalue lambda_1(n, K, D) on the symmetric interval of length D.
 
     For K > 0 the diameter may not exceed pi/sqrt(K) (the model's full
-    domain), where the value closes at n K; for K = 0 it is pi^2/D^2; for
-    K < 0 the even (tanh) branch applies.
+    domain), where the value is n K exactly; for K = 0 it is pi^2/D^2;
+    for K < 0 the even (tanh) branch applies.
     """
     if not (D > 0) or not math.isfinite(D):
         raise DomainError(f"diameter must be positive and finite, got {D}")
@@ -169,7 +164,8 @@ def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:
         if D > full * (1.0 + 1e-12):
             raise DomainError(
                 f"diameter {D} exceeds the model domain pi/sqrt(K) = {full}")
-        D = min(D, full)
+        if D >= full * (1.0 - 1e-12):  # the round sphere, sin(sqrt(K) t)
+            return float(params.dim * params.curv)
     return neumann_eigenvalue_shooting(
         EigenQuery(params, -0.5 * D, 0.5 * D, tol))
 

@@ -166,8 +166,8 @@ def _match_root(params: ModelParams, lambda_bar: float, u_star: float,
                        attained - u_star)
 
 
-def match_maximum(params: ModelParams, lambda_bar: float, u_star: float,
-                  tol: float = 1e-8) -> MatchResult:
+def match_maximum(params: ModelParams, lambda_bar: float,
+                  u_star: float) -> MatchResult:
     """Find the start a whose solution attains max w = u_star.
 
     Dispatches on curvature sign and the essential threshold, selecting
@@ -187,8 +187,8 @@ def match_maximum(params: ModelParams, lambda_bar: float, u_star: float,
         return MatchResult(params, a, "zero-symmetric", u_star, 1.0, 0.0)
 
     if params.curv > 0:
-        return _match_tan(_family(params, "pole"), lambda_bar, u_star, tol)
-    return _match_negative(params, lambda_bar, u_star, tol)
+        return _match_tan(_family(params, "pole"), lambda_bar, u_star)
+    return _match_negative(params, lambda_bar, u_star)
 
 
 def _match_symmetric(params: ModelParams, lambda_bar: float,
@@ -198,8 +198,8 @@ def _match_symmetric(params: ModelParams, lambda_bar: float,
     return MatchResult(even, a, case, u_star, 1.0, 1.0 - u_star)
 
 
-def _match_tan(params: ModelParams, lambda_bar: float, u_star: float,
-               tol: float) -> MatchResult:
+def _match_tan(params: ModelParams, lambda_bar: float,
+               u_star: float) -> MatchResult:
     anchor = params.dim * params.curv
     if lambda_bar < anchor * (1.0 - 1e-9):
         raise DomainError(
@@ -240,8 +240,8 @@ def _walk_until(fvals_needed, start, step_fn, max_steps=_WALK_STEPS):
     raise BracketFailure("bracket walk exhausted its step budget")
 
 
-def _match_negative(params: ModelParams, lambda_bar: float, u_star: float,
-                    tol: float) -> MatchResult:
+def _match_negative(params: ModelParams, lambda_bar: float,
+                    u_star: float) -> MatchResult:
     s = params.scale
     thresh = params.essential_threshold
     coth = _family(params, "pole")

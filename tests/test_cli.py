@@ -297,6 +297,14 @@ def test_match_record(runner):
     assert not rec["flags"]["boundary"]
 
 
+def test_match_tol_sets_only_the_converged_flag(runner):
+    recs = [_json_without_timings(runner.invoke(
+        cli, ["match", "-N", "3", "-K", "1", "-l", "4", "-u", "0.8",
+              "--tol", tol, "--format", "json"])) for tol in ("1e-3", "-1")]
+    assert recs[0]["results"] == recs[1]["results"]
+    assert recs[0]["flags"]["converged"] and not recs[1]["flags"]["converged"]
+
+
 def test_match_subthreshold_m_min_is_nan_string(runner):
     res = runner.invoke(cli, ["match", "-N", "3", "-K", "-1", "-l", "0.9",
                               "-u", "0.5", "--format", "json"])
