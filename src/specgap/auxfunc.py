@@ -21,6 +21,14 @@ d^2/dt^2 + V (periodic or Neumann ends), set
 which solves  J'' - tau (J')^2 / J - 2 rho_K J + sigma J = 0 and keeps
 sigma >= 0 (the largest eigenvalue dominates the V = 0 case).  tau > 1
 is a free exponent; larger tau flattens J at the price of larger sigma.
+
+The discrete operator A is tridiagonal (cyclic on the circle) with
+positive off-diagonal entries, so for any shift s above its top
+eigenvalue sI - A is a nonsingular M-matrix with a nonnegative inverse.
+Inverse iteration from the positive vector of ones, shifted by the
+Collatz-Wielandt bound s = max_i (A v)_i / v_i, therefore keeps every
+iterate, and W, strictly positive by construction: no sign of an
+eigenvector has to be guessed or repaired.
 """
 
 from __future__ import annotations
@@ -32,10 +40,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import solve_banded
+# unused here: bench/spans.py wraps both names to time eigensolves, until
+# the program owns its counters (ROADMAP item 1)
+from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 
 from .errors import (DomainError, MeshTooCoarse, NonPositiveEigenfunction,
-                     ProfileFormatError)
+                     NumericalError, ProfileFormatError)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -203,15 +214,86 @@ class JSolution:
         return self.profile.length / self.mesh
 
 
+_MAX_ITER = 100   # inverse-iteration steps; 0 to 8 is usual
+_EPS = np.finfo(float).eps
+
+
+def _top_eigenpair(V: np.ndarray, h: float,
+                   periodic: bool) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and its positive eigenvector of d^2/dt^2 + V.
+
+    The second difference is cyclic when ``periodic``, otherwise it has
+    reflecting ends.  Noda's inverse iteration (Numer. Math. 17, 1971):
+    from v = ones, solve (s - A) v_new = v with the upper Collatz-Wielandt
+    shift s = max_i (A v)_i / v_i, which keeps s - A a nonsingular M-matrix
+    and v_new > 0, while min_i (A v)_i / v_i <= sigma <= s brackets the
+    eigenvalue.  Each step is one ``solve_banded`` call; on the circle it
+    takes the right-hand sides v, e_0 and e_{m-1}, and the two corner
+    entries enter through a 2 x 2 Woodbury system, as sums of nonnegative
+    terms.  Stops when the Rayleigh quotient moves by at most the rounding
+    floor 4 eps (4/h^2 + max V), or the bracket closes to that floor;
+    returns the Rayleigh quotient and v with max v = 1.  (The bracket
+    alone cannot serve: rounding in the solves roughens v, and its ratios
+    scatter by about sqrt(mesh)/4 floors.)
+    """
+    m = V.size
+    off = 1.0 / h**2
+    diag = V - 2.0 * off
+    if not periodic:
+        diag[[0, -1]] += off   # reflecting end: no flux through the wall
+    floor = 4.0 * _EPS * (4.0 * off + float(np.max(V)))
+    band = np.empty((3, m))
+    band[0], band[2] = -off, -off
+    rhs = np.zeros((m, 3 if periodic else 1))
+    if periodic:
+        rhs[0, 1] = rhs[-1, 2] = 1.0
+    v = np.ones(m)
+    rq = math.nan
+    for _ in range(_MAX_ITER):
+        Av = diag * v
+        Av[1:] += off * v[:-1]
+        Av[:-1] += off * v[1:]
+        if periodic:
+            Av[0] += off * v[-1]
+            Av[-1] += off * v[0]
+        ratio = Av / v
+        lo, s = float(np.min(ratio)), float(np.max(ratio))
+        rq_new = float(v @ Av) / float(v @ v)
+        if abs(rq_new - rq) <= floor or s - lo <= floor:
+            return rq_new, v
+        rq = rq_new
+        band[1] = s - diag
+        rhs[:, 0] = v
+        y = solve_banded((1, 1), band, rhs)
+        if periodic:
+            # x = y + off (x_{m-1} p + x_0 q), p = T^-1 e_0, q = T^-1 e_{m-1}
+            p, q = y[:, 1], y[:, 2]
+            x0, x1 = np.linalg.solve(
+                [[1.0 - off * q[0], -off * p[0]],
+                 [-off * q[-1], 1.0 - off * p[-1]]], y[[0, -1], 0])
+            v = y[:, 0] + off * (x1 * p + x0 * q)
+        else:
+            v = y[:, 0]
+        v = v / np.max(v)
+        if not np.all(v > 0.0):
+            raise NonPositiveEigenfunction(
+                f"inverse iterate dips to {np.min(v):.3e}; "
+                "refine the mesh or smooth the profile")
+    raise NumericalError(
+        f"principal eigenpair not converged in {_MAX_ITER} inverse "
+        f"iterations (bracket [{lo!r}, {s!r}])")
+
+
 def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
             mesh: int = 1024) -> JSolution:
     """Principal eigenpair of d^2/dt^2 + 2(tau-1) rho_K, then J = W^(-1/(tau-1)).
 
-    Circle: second-difference Laplacian on an equispaced periodic grid
-    (dense symmetric eigensolve restricted to the top index).  Interval:
-    cell-centered grid with reflecting ends (tridiagonal solver).  The
-    principal eigenvector has a sign; it is flipped positive and must be
-    strictly so.  J is normalized to mean 1.
+    Circle: second-difference Laplacian on an equispaced periodic grid.
+    Interval: cell-centered grid with reflecting ends.  Both take the top
+    eigenpair from ``_top_eigenpair``, O(mesh) work and memory per
+    inverse-iteration step; W is strictly positive by construction, and
+    the positivity check below stays as a guard.  sigma_tilde is the
+    Rayleigh quotient of W.  J is normalized to mean 1.
     """
     if tau <= 1:
         raise DomainError(f"tau must exceed 1, got {tau}")
@@ -219,28 +301,13 @@ def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
         raise MeshTooCoarse(f"need >= 16 mesh points, got {mesh}")
     L = profile.length
     h = L / mesh
-    if profile.geometry is Geometry.CIRCLE:
+    periodic = profile.geometry is Geometry.CIRCLE
+    if periodic:
         t = np.arange(mesh) * h
     else:
         t = (np.arange(mesh) + 0.5) * h
     V = 2.0 * (tau - 1.0) * rho_K(profile, K, t)
-
-    if profile.geometry is Geometry.CIRCLE:
-        A = np.zeros((mesh, mesh))
-        idx = np.arange(mesh)
-        A[idx, idx] = -2.0 / h**2 + V
-        A[idx, (idx + 1) % mesh] = 1.0 / h**2
-        A[idx, (idx - 1) % mesh] = 1.0 / h**2
-        vals, vecs = eigh(A, subset_by_index=[mesh - 1, mesh - 1])
-    else:
-        diag = np.full(mesh, -2.0 / h**2) + V
-        diag[0] += 1.0 / h**2   # reflecting end: no flux through the wall
-        diag[-1] += 1.0 / h**2
-        off = np.full(mesh - 1, 1.0 / h**2)
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(mesh - 1, mesh - 1))
-    sigma_tilde = float(vals[0])
-    W = vecs[:, 0]
+    sigma_tilde, W = _top_eigenpair(V, h, periodic)
     if abs(W.sum()) < 1e-300:
         raise NonPositiveEigenfunction("principal eigenvector sums to zero")
     if W.sum() < 0:

@@ -6,8 +6,11 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from specgap import auxfunc
 from specgap.auxfunc import (
     CurvatureProfile,
     Geometry,
@@ -17,7 +20,10 @@ from specgap.auxfunc import (
     rho_K,
     solve_J,
 )
-from specgap.errors import DomainError, MeshTooCoarse, ProfileFormatError
+from specgap.errors import (DomainError, MeshTooCoarse, NumericalError,
+                            ProfileFormatError)
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +222,120 @@ def test_lemma_J_property(depth, tau):
                                  center=2.0, length=2 * math.pi, dim=3)
     sol = solve_J(prof, K=1.0, tau=tau, mesh=256)
     assert check_lemma_J(sol).all_ok
+
+
+# ---------------------------------------------------------------------------
+# the principal eigenpair against dense LAPACK and the Mathieu closed form
+
+def _mathieu(c, geometry=Geometry.CIRCLE, length=2 * math.pi):
+    """rho = 2 - c (1 + cos t): with n = 3, K = 1 the deficit is
+    c (1 + cos t) and the potential 2 (tau - 1) c (1 + cos t)."""
+    return CurvatureProfile(geometry, length, 3,
+                            lambda t: 2.0 - c * (1.0 + np.cos(t)))
+
+
+def _potential(sol):
+    return 2.0 * (sol.tau - 1.0) * rho_K(sol.profile, sol.K, sol.t)
+
+
+def _rounding_tol(sol):
+    """Backward-stable agreement: 16 eps times the operator norm bound."""
+    return 16.0 * EPS * (4.0 / sol.h ** 2 + float(np.max(_potential(sol))))
+
+
+def _dense_top(sol):
+    """Top eigenvalue of the same discrete operator, as a dense matrix."""
+    V, h, m = _potential(sol), sol.h, sol.mesh
+    A = np.diag(V - 2.0 / h ** 2)
+    A += (np.eye(m, k=1) + np.eye(m, k=-1)) / h ** 2
+    if sol.profile.geometry is Geometry.CIRCLE:
+        A[0, -1] = A[-1, 0] = 1.0 / h ** 2
+    else:
+        A[0, 0] += 1.0 / h ** 2
+        A[-1, -1] += 1.0 / h ** 2
+    return float(scipy.linalg.eigh(A, eigvals_only=True,
+                                   subset_by_index=[m - 1, m - 1])[0])
+
+
+def test_interval_W_positive_where_dense_tail_dips():
+    # a deep, wide well on a long interval: the eigenvector falls to
+    # ~5e-23 at the far wall, below the absolute accuracy of a dense or
+    # tridiagonal eigensolver (which returns a tail entry of -8.6e-44)
+    prof = CurvatureProfile.bump(2.0, 30.0, 5.0, 3.0, 20.0, 3,
+                                 Geometry.INTERVAL)
+    sol = solve_J(prof, K=1.0, tau=3.0, mesh=1024)
+    assert np.all(sol.W > 0.0) and np.all(np.isfinite(sol.J))
+    assert abs(sol.sigma_tilde - _dense_top(sol)) <= _rounding_tol(sol)
+
+
+@pytest.mark.parametrize("mesh", [512, 1024])
+@pytest.mark.parametrize("prof", [
+    CurvatureProfile.bump(2.0, 0.8, 1.2, 2.0, 2 * math.pi, 3),
+    _mathieu(0.6),
+], ids=["bump", "mathieu"])
+def test_circle_sigma_matches_dense_eigh(prof, mesh):
+    sol = solve_J(prof, K=1.0, tau=2.5, mesh=mesh)
+    dense = _dense_top(sol)
+    assert abs(sol.sigma_tilde - dense) <= 1e-11 * abs(dense)
+
+
+@pytest.mark.parametrize("prof, tau, mesh", [
+    (CurvatureProfile.bump(2.0, 0.7, 2.0, 1.3, 5.0, 3, Geometry.INTERVAL),
+     2.3, 2048),
+    (_mathieu(0.5, Geometry.INTERVAL, math.pi), 2.0, 1024),
+    # three wells, top two eigenvalues 2.2e-5 apart
+    (_mathieu(2.378778532070042, Geometry.INTERVAL, 10.953608518777141),
+     2.293968240295156, 1024),
+    (CurvatureProfile.constant(1.4, 3.0, 3, Geometry.INTERVAL), 1.8, 4096),
+], ids=["bump", "mathieu", "three-wells", "constant"])
+def test_interval_sigma_matches_eigh_tridiagonal(prof, tau, mesh):
+    sol = solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+    V, h = _potential(sol), sol.h
+    diag = V - 2.0 / h ** 2
+    diag[[0, -1]] += 1.0 / h ** 2
+    top = scipy.linalg.eigh_tridiagonal(
+        diag, np.full(mesh - 1, 1.0 / h ** 2), eigvals_only=True,
+        select="i", select_range=(mesh - 1, mesh - 1))[0]
+    assert abs(sol.sigma_tilde - top) <= _rounding_tol(sol)
+
+
+@pytest.mark.parametrize("c, tau", [(0.5, 2.0), (0.3, 2.7), (0.8, 1.6)])
+def test_circle_richardson_matches_mathieu_closed_form(c, tau):
+    # sigma~ of d^2/dt^2 + beta (1 + cos t) on the 2 pi circle is
+    # beta - a_0(2 beta) / 4 (t = 2x turns it into Mathieu's equation)
+    prof = _mathieu(c)
+    coarse, fine = (solve_J(prof, 1.0, tau, m).sigma_tilde
+                    for m in (4096, 8192))
+    beta = 2.0 * (tau - 1.0) * c
+    exact = beta - scipy.special.mathieu_a(0, 2.0 * beta) / 4.0
+    assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-9 * exact
+
+
+def test_inverse_iteration_steps_are_few(monkeypatch):
+    calls = []
+    real = auxfunc.solve_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(auxfunc, "solve_banded", counted)
+    cases = [
+        (CurvatureProfile.bump(2.0, 0.9, 1.0, 4.0, 2 * math.pi, 3), 2.0, 4096),
+        (_mathieu(0.4), 2.7, 1024),
+        (CurvatureProfile.bump(2.0, 0.3, 1.5, 0.5, 4.0, 3,
+                               Geometry.INTERVAL), 1.5, 1 << 14),
+        (_mathieu(0.7, Geometry.INTERVAL, math.pi), 3.0, 2048),
+        (CurvatureProfile.constant(2.5, 6.0, 3, Geometry.INTERVAL), 2.0, 512),
+    ]
+    for prof, tau, mesh in cases:
+        calls.clear()
+        solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+        assert len(calls) <= 8, (prof, mesh, len(calls))
+
+
+def test_iteration_cap_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(auxfunc, "_MAX_ITER", 1)
+    prof = CurvatureProfile.bump(2.0, 0.5, 1.0, 3.0, 2 * math.pi, 3)
+    with pytest.raises(NumericalError):
+        solve_J(prof, K=1.0, tau=2.0, mesh=256)
