@@ -214,7 +214,8 @@ class JSolution:
         return self.profile.length / self.mesh
 
 
-_MAX_ITER = 100   # inverse-iteration steps; 0 to 8 is usual
+_MAX_ITER = 100   # inverse-iteration steps; 0 to 8 is usual, 16 seen
+_STEP_TOL = 1e-6  # largest relative change of any entry of v in the last step
 _EPS = np.finfo(float).eps
 
 
@@ -230,11 +231,22 @@ def _top_eigenpair(V: np.ndarray, h: float,
     eigenvalue.  Each step is one ``solve_banded`` call; on the circle it
     takes the right-hand sides v, e_0 and e_{m-1}, and the two corner
     entries enter through a 2 x 2 Woodbury system, as sums of nonnegative
-    terms.  Stops when the Rayleigh quotient moves by at most the rounding
-    floor 4 eps (4/h^2 + max V), or the bracket closes to that floor;
-    returns the Rayleigh quotient and v with max v = 1.  (The bracket
-    alone cannot serve: rounding in the solves roughens v, and its ratios
-    scatter by about sqrt(mesh)/4 floors.)
+    terms.
+
+    J = W^(-1/(tau-1)) reads every entry of v relative to itself, and far
+    from a deep well v is many decades below its maximum, where it
+    converges steps after the Rayleigh quotient has.  So the iteration
+    stops only when the Rayleigh quotient moves by at most the rounding
+    floor 4 eps (4/h^2 + max V) and no entry of v changed by more than
+    ``_STEP_TOL`` relative in the last step, or when the bracket closes to
+    the floor (v = ones on a constant potential).  Once the quotient has
+    settled each step shrinks the error by (s - sigma) / (s - sigma_2), so
+    the returned v is much closer than ``_STEP_TOL`` to the fixed point,
+    unless the top two eigenvalues nearly coincide, where no solver pins
+    the eigenvector down better than about eps (4/h^2 + max V) / gap.  (The
+    bracket alone cannot serve: rounding in the solves roughens v, and its
+    ratios scatter by about sqrt(mesh)/4 floors.)  Returns the Rayleigh
+    quotient and v with max v = 1.
     """
     m = V.size
     off = 1.0 / h**2
@@ -248,7 +260,7 @@ def _top_eigenpair(V: np.ndarray, h: float,
     if periodic:
         rhs[0, 1] = rhs[-1, 2] = 1.0
     v = np.ones(m)
-    rq = math.nan
+    rq, change = math.nan, math.inf
     for _ in range(_MAX_ITER):
         Av = diag * v
         Av[1:] += off * v[:-1]
@@ -259,7 +271,8 @@ def _top_eigenpair(V: np.ndarray, h: float,
         ratio = Av / v
         lo, s = float(np.min(ratio)), float(np.max(ratio))
         rq_new = float(v @ Av) / float(v @ v)
-        if abs(rq_new - rq) <= floor or s - lo <= floor:
+        if s - lo <= floor or (abs(rq_new - rq) <= floor
+                               and change <= _STEP_TOL):
             return rq_new, v
         rq = rq_new
         band[1] = s - diag
@@ -271,17 +284,20 @@ def _top_eigenpair(V: np.ndarray, h: float,
             x0, x1 = np.linalg.solve(
                 [[1.0 - off * q[0], -off * p[0]],
                  [-off * q[-1], 1.0 - off * p[-1]]], y[[0, -1], 0])
-            v = y[:, 0] + off * (x1 * p + x0 * q)
+            v_new = y[:, 0] + off * (x1 * p + x0 * q)
         else:
-            v = y[:, 0]
-        v = v / np.max(v)
-        if not np.all(v > 0.0):
+            v_new = y[:, 0]
+        v_new = v_new / np.max(v_new)
+        if not np.all(v_new > 0.0):
             raise NonPositiveEigenfunction(
-                f"inverse iterate dips to {np.min(v):.3e}; "
+                f"inverse iterate dips to {np.min(v_new):.3e}; "
                 "refine the mesh or smooth the profile")
+        change = float(np.max(np.abs(v_new / v - 1.0)))
+        v = v_new
     raise NumericalError(
         f"principal eigenpair not converged in {_MAX_ITER} inverse "
-        f"iterations (bracket [{lo!r}, {s!r}])")
+        f"iterations (bracket [{lo!r}, {s!r}], last step moved v by "
+        f"{change:.1e} relative)")
 
 
 def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
@@ -291,9 +307,8 @@ def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
     Circle: second-difference Laplacian on an equispaced periodic grid.
     Interval: cell-centered grid with reflecting ends.  Both take the top
     eigenpair from ``_top_eigenpair``, O(mesh) work and memory per
-    inverse-iteration step; W is strictly positive by construction, and
-    the positivity check below stays as a guard.  sigma_tilde is the
-    Rayleigh quotient of W.  J is normalized to mean 1.
+    inverse-iteration step, which returns W > 0 with max W = 1 or raises.
+    sigma_tilde is the Rayleigh quotient of W.  J is normalized to mean 1.
     """
     if tau <= 1:
         raise DomainError(f"tau must exceed 1, got {tau}")
@@ -308,17 +323,8 @@ def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
         t = (np.arange(mesh) + 0.5) * h
     V = 2.0 * (tau - 1.0) * rho_K(profile, K, t)
     sigma_tilde, W = _top_eigenpair(V, h, periodic)
-    if abs(W.sum()) < 1e-300:
-        raise NonPositiveEigenfunction("principal eigenvector sums to zero")
-    if W.sum() < 0:
-        W = -W
-    if np.min(W) <= 0:
-        raise NonPositiveEigenfunction(
-            f"principal eigenvector dips to {np.min(W):.3e}; "
-            "refine the mesh or smooth the profile")
     J = W ** (-1.0 / (tau - 1.0))
     J = J / np.mean(J)
-    W = W / np.max(W)
     return JSolution(profile=profile, K=K, tau=tau, mesh=mesh, t=t, J=J,
                      W=W, sigma=sigma_tilde / (tau - 1.0),
                      sigma_tilde=sigma_tilde)

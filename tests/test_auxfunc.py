@@ -4,6 +4,7 @@
 import math
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -257,15 +258,73 @@ def _dense_top(sol):
                                    subset_by_index=[m - 1, m - 1])[0])
 
 
-def test_interval_W_positive_where_dense_tail_dips():
-    # a deep, wide well on a long interval: the eigenvector falls to
-    # ~5e-23 at the far wall, below the absolute accuracy of a dense or
-    # tridiagonal eigensolver (which returns a tail entry of -8.6e-44)
-    prof = CurvatureProfile.bump(2.0, 30.0, 5.0, 3.0, 20.0, 3,
-                                 Geometry.INTERVAL)
-    sol = solve_J(prof, K=1.0, tau=3.0, mesh=1024)
-    assert np.all(sol.W > 0.0) and np.all(np.isfinite(sol.J))
+def _dense_circle(sol):
+    """Top two eigenvalues and the top eigenvector (sum > 0, unit 2-norm)
+    of the same discrete circle operator, as a dense matrix."""
+    V, h, m = _potential(sol), sol.h, sol.mesh
+    A = np.diag(V - 2.0 / h ** 2)
+    A += (np.eye(m, k=1) + np.eye(m, k=-1)) / h ** 2
+    A[0, -1] = A[-1, 0] = 1.0 / h ** 2
+    lam, U = scipy.linalg.eigh(A, subset_by_index=[m - 2, m - 1])
+    return lam, U[:, 1] * np.sign(U[:, 1].sum())
+
+
+def _mp_top_vector(V, h, dps=60):
+    """Top eigenvector (max 1) of the interval operator with reflecting
+    ends: the same Collatz-Wielandt-shifted inverse iteration, carried out
+    in mpmath at ``dps`` digits with the Thomas algorithm, until the
+    bracket closes to 10^(-dps/2) |A|."""
+    with mpmath.workdps(dps):
+        m, off = len(V), 1 / mpmath.mpf(float(h)) ** 2
+        d = [mpmath.mpf(float(x)) - 2 * off for x in V]
+        d[0] += off
+        d[-1] += off
+        tol = mpmath.mpf(10) ** (-dps // 2) * 4 * off
+        v = [mpmath.mpf(1)] * m
+        for _ in range(200):
+            Av = [d[i] * v[i] + off * ((v[i - 1] if i else 0)
+                                       + (v[i + 1] if i < m - 1 else 0))
+                  for i in range(m)]
+            ratio = [a / b for a, b in zip(Av, v)]
+            s = max(ratio)
+            if s - min(ratio) <= tol:
+                return np.array([float(x) for x in v])
+            # (s - A) x = v: diagonal s - d_i, both off-diagonals -off
+            c, y = [None] * m, [None] * m
+            c[0], y[0] = -off / (s - d[0]), v[0] / (s - d[0])
+            for i in range(1, m):
+                den = s - d[i] + off * c[i - 1]
+                c[i], y[i] = -off / den, (v[i] + off * y[i - 1]) / den
+            for i in range(m - 2, -1, -1):
+                y[i] -= c[i] * y[i + 1]
+            top = max(y)
+            v = [x / top for x in y]
+    raise AssertionError("mpmath reference did not converge")
+
+
+@pytest.mark.parametrize("prof, tau", [
+    # a deep, wide well on a long interval: W falls to 2.6e-73 at the
+    # far wall, far below the absolute accuracy of a dense or tridiagonal
+    # eigensolver (which returns a tail entry of -8.6e-44)
+    (CurvatureProfile.bump(2.0, 30.0, 5.0, 3.0, 20.0, 3, Geometry.INTERVAL),
+     3.0),
+    # five equal wells; W spans 38 decades
+    (_mathieu(9.313680233666369, Geometry.INTERVAL, 32.89016016440638), 2.0),
+], ids=["deep-bump", "five-wells"])
+def test_interval_J_matches_high_precision_eigenvector(prof, tau):
+    # J_i reads W_i alone, so its tail needs W converged entry by entry,
+    # not only sigma_tilde: stopping once the Rayleigh quotient settled
+    # left these tails tens of decades off.  W is the exact top
+    # eigenvector for a potential within a few rounding floors (~1e-11)
+    # of V; the measured error in J is 1e-13 and 1e-11.
+    sol = solve_J(prof, K=1.0, tau=tau, mesh=1024)
+    assert np.all(sol.W > 0.0)
     assert abs(sol.sigma_tilde - _dense_top(sol)) <= _rounding_tol(sol)
+    W = _mp_top_vector(_potential(sol), sol.h)
+    J = W ** (-1.0 / (tau - 1.0))
+    J /= np.mean(J)
+    assert float(np.max(np.abs(sol.W / W - 1.0))) <= 1e-9
+    assert float(np.max(np.abs(sol.J / J - 1.0))) <= 1e-9
 
 
 @pytest.mark.parametrize("mesh", [512, 1024])
@@ -273,10 +332,22 @@ def test_interval_W_positive_where_dense_tail_dips():
     CurvatureProfile.bump(2.0, 0.8, 1.2, 2.0, 2 * math.pi, 3),
     _mathieu(0.6),
 ], ids=["bump", "mathieu"])
-def test_circle_sigma_matches_dense_eigh(prof, mesh):
-    sol = solve_J(prof, K=1.0, tau=2.5, mesh=mesh)
-    dense = _dense_top(sol)
-    assert abs(sol.sigma_tilde - dense) <= 1e-11 * abs(dense)
+def test_circle_matches_dense_eigh(prof, mesh):
+    tau = 2.5
+    sol = solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+    (second, top), u = _dense_circle(sol)
+    assert abs(sol.sigma_tilde - top) <= 1e-11 * abs(top)
+    # both eigenvectors come from backward-stable solves, so each is
+    # within about eps |A| / gap of the exact one in 2-norm; measured
+    # 0.03 to 0.16 of that
+    norm_A = 4.0 / sol.h ** 2 + float(np.max(_potential(sol)))
+    w = sol.W / np.linalg.norm(sol.W)
+    assert np.linalg.norm(w - u) <= 2.0 * EPS * norm_A / (top - second)
+    # here |A| / gap is below 1e4 and W above 4e-3, so J agrees to 1e-11
+    # (measured 4e-13 to 1.8e-12)
+    J = u ** (-1.0 / (tau - 1.0))
+    J /= np.mean(J)
+    assert float(np.max(np.abs(sol.J / J - 1.0))) <= 1e-11
 
 
 @pytest.mark.parametrize("prof, tau, mesh", [
