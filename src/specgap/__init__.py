@@ -31,8 +31,8 @@ from .harness import (ChainReport, GradientReport, MainInequalityReport,
 from .matching import (MatchResult, ReflectionReport, constant_drift_limit,
                        m_min, match_maximum, r_epsilon, reflection_check)
 from .model import (Branch, Domain, ModelParams, ModelSolution,
-                    branch_for_curvature, drift_eval, first_zero_of_wprime,
-                    riccati_residual, solve_ivp, weight_mu)
+                    branch_for_curvature, drift_eval, riccati_residual,
+                    solve_ivp, weight_mu)
 from .perturbation import (ConditionReport, PerturbedParams, check_term_III,
                            choose_K_bar, choose_N, choose_alpha_beta,
                            choose_lambda_bar, cond1_margin, cond2_margin,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch", "Domain", "ModelParams", "ModelSolution",
     "branch_for_curvature", "drift_eval", "riccati_residual", "weight_mu",
-    "solve_ivp", "first_zero_of_wprime",
+    "solve_ivp",
     "EigenQuery", "neumann_eigenvalue_shooting", "lambda1_model",
     "symmetric_interval_length", "fd_oracle_eigenvalue",
     "lichnerowicz", "zhong_yang", "shi_zhang", "shi_zhang_maximizer",

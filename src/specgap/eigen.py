@@ -93,8 +93,8 @@ def _turn_distance(params: ModelParams, lam: float, a: float, *,
     enough to know the measured length exceeds the reach.
     """
     shot = model.shoot(params, lam, a, odd=odd, reach=reach)
-    if shot.kind in ("event", "tail"):
-        return shot.t_zero - a
+    if shot.kind == "event":
+        return shot.t_end - a
     return math.inf
 
 

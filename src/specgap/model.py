@@ -29,9 +29,9 @@ The initial value problem solved here is
 and the quantity of interest is d(a, T, lambda): the distance from a to
 the first interior zero of w', together with the attained maximum
 m = w(a + d).  Starts at a singular endpoint of the domain (tan's left
-pole, coth's origin) use a Frobenius series launch; the tan branch is
-classified analytically near its right pole, where the integrator cannot
-go, via the flux representation mu w' = mu(t1) w'(t1) - lambda int mu w.
+pole, coth's origin) use a Frobenius series launch.  On the tan branch
+the integrator stops a small gap short of the right pole; a run with no
+w' zero by then has its maximum at the pole (d = inf).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
@@ -63,7 +62,6 @@ __all__ = [
     "Shot",
     "shoot",
     "solve_ivp",
-    "first_zero_of_wprime",
 ]
 
 # Integrator controls.  The terminal event is located by the
@@ -72,7 +70,7 @@ RTOL = 1e-10
 ATOL = 1e-10
 
 # Distance (in units of 1/sqrt(Kbar)) kept between the integrator and the
-# tan-branch pole; the remaining sliver is handled by series/flux analysis.
+# tan-branch pole, where the drift blows up.
 _POLE_GAP = 1e-7
 
 # |w'| guard: beyond this the singular mode has certifiably taken over.
@@ -235,13 +233,10 @@ def weight_mu(params: ModelParams, t):
 #     w(s) = -1 + A s^2 + B s^4 + O(s^6),
 #     A = lambda / (2N),   B = -A (2 gamma (N-1) + lambda) / (4 (N+2)).
 
-def _series_coeffs(params: ModelParams, lam: float, order: int):
+def _series_coeffs(params: ModelParams, lam: float):
     A = lam / (2.0 * params.dim)
-    if order >= 4:
-        gamma = -params.curv / 3.0
-        B = -A * (2.0 * gamma * (params.dim - 1.0) + lam) / (4.0 * (params.dim + 2.0))
-    else:
-        B = 0.0
+    gamma = -params.curv / 3.0
+    B = -A * (2.0 * gamma * (params.dim - 1.0) + lam) / (4.0 * (params.dim + 2.0))
     return A, B
 
 
@@ -253,74 +248,25 @@ def _series_eval(A: float, B: float, s):
 
 
 # ---------------------------------------------------------------------------
-# Tail handling at the tan branch's right pole.
-#
-# With x the distance to the pole, mu(t) = sin^{N-1}(sqrt(K) x) and the
-# flux v = mu w' satisfies v' = -lambda mu w.  Writing Q(x) for the weight
-# mass int_0^x sin^{N-1}(sqrt(K) u) du, a zero of w' in the uncovered
-# sliver (cap, pole) exists iff v_cap <= lambda w_cap Q(x_cap) (w near
-# constant over the sliver), and then sits where the remaining mass
-# balances the flux.
-
-def _weight_mass_series(s: float, nu: float, x):
-    """int_0^x sin(s u)^nu du for small s*x (three-term series)."""
-    x = np.asarray(x, dtype=float)
-    z = s * x
-    z2 = z * z
-    c0 = 1.0 / (nu + 1.0)
-    c2 = -nu / (6.0 * (nu + 3.0))
-    c4 = (nu / 120.0 + nu * (nu - 1.0) / 72.0) / (nu + 5.0)
-    out = z ** (nu + 1.0) * (c0 + c2 * z2 + c4 * z2 * z2) / s
-    return out if x.ndim else float(out)
-
-
-def _tan_tail_zero(params: ModelParams, lam: float, t_end: float,
-                   w_end: float, wp_end: float):
-    """Locate a w'-zero between t_end and the pole, or return None.
-
-    Returns (t_star, m_estimate) when the zero falls in the sliver.
-    """
-    if w_end <= 0.0 or wp_end <= 0.0:
-        # flux v = mu w' cannot come down to zero while w <= 0
-        return None
-    p = params.domain().hi
-    s = params.scale
-    nu = params.dim - 1.0
-    x_cap = p - t_end
-    v_cap = weight_mu(params, t_end) * wp_end
-    mass = _weight_mass_series(s, nu, x_cap)
-    budget = lam * w_end * mass
-    if v_cap > budget:
-        return None
-    target = mass - v_cap / (lam * w_end)
-    x_star = brentq(lambda x: _weight_mass_series(s, nu, x) - target,
-                    0.0, x_cap, xtol=1e-300, rtol=8.9e-16)
-    t_star = p - x_star
-    m_est = w_end + 0.5 * wp_end * (t_star - t_end)
-    return t_star, m_est
-
-
-# ---------------------------------------------------------------------------
 # The shooting primitive: launch, cap, integrate, classify the first w' zero.
 
 @dataclass
 class Shot:
     """One integration of the model ODE up to its first w'-zero.
 
-    kind is "event" (the integrator located the zero), "tail" (the zero
-    sits in the sliver at the tan pole), "blow" (|w'| passed the growth
-    guard), "collapse" (the state decayed to nothing below the essential
-    threshold) or "cap" (no zero before the cap).  series holds
-    (a, h, A, B) when the run was launched by the Frobenius series.
+    kind is "event" (the integrator located the zero), "blow" (|w'|
+    passed the growth guard), "collapse" (the state decayed below 1e-9)
+    or "cap" (no zero before the cap).  t_end and y_end = (w, w') are
+    where the run stopped, the zero itself for an event.  t_start is the
+    first integrated point; series holds (a, h, A, B) when the run was
+    launched by the Frobenius series over [a, a + h = t_start].
     """
 
     kind: str
-    t_zero: float | None
-    y_zero: tuple | None
     t_end: float
     y_end: tuple
     sol: object             # scipy OdeSolution (dense)
-    steps: np.ndarray       # integrator steps, from the launch point on
+    t_start: float
     series: tuple | None = None
 
 
@@ -338,27 +284,25 @@ def _make_rhs(params: ModelParams, lam: float):
 
 
 def shoot(params: ModelParams, lam: float, a: float, *, odd: bool = False,
-          reach: float | None = None, series_step: float | None = None,
-          series_order: int = 4, collapse: bool = False) -> Shot:
+          reach: float | None = None, collapse: bool = False) -> Shot:
     """Launch the model ODE at a and run it to its first w'-zero.
 
     The start is w = -1, w' = 0, or w = 0, w' = 1 when odd is set; at a
-    singular left end the regular solution is launched by a Frobenius
-    series of the given order over series_step (default
-    1e-3/sqrt(|Kbar|)).  The run ends at the absolute position reach
-    (default a + 1e3, a + 50/sqrt(|Kbar|) below the essential threshold,
-    no limit on tan), and on tan _POLE_GAP/sqrt(Kbar) short of the pole.
-    collapse tightens atol below the threshold and stops once the state
-    has decayed, as solve_ivp's no-turning certificate needs.
+    singular left end the regular solution is launched by the Frobenius
+    series over 1e-3/sqrt(|Kbar|).  The run ends at the absolute position
+    reach (default a + 1e3, a + 50/sqrt(|Kbar|) below the essential
+    threshold, no limit on tan), and on tan _POLE_GAP/sqrt(Kbar) short of
+    the pole.  collapse stops the run once the state has decayed, as
+    solve_ivp's certificates need.
     """
     dom = params.domain()
-    subthreshold = lam <= params.essential_threshold
     if reach is None:
         if params.branch is Branch.TAN:
             reach = math.inf
+        elif lam <= params.essential_threshold:
+            reach = a + _CERT_WINDOW / params.scale
         else:
-            reach = a + (_CERT_WINDOW / params.scale if subthreshold
-                         else _DEFAULT_HORIZON)
+            reach = a + _DEFAULT_HORIZON
     t_cap = reach
     if params.branch is Branch.TAN:
         t_cap = min(dom.hi - _POLE_GAP / params.scale, reach)
@@ -367,8 +311,8 @@ def shoot(params: ModelParams, lam: float, a: float, *, odd: bool = False,
     if odd:
         t0, y0 = a, (0.0, 1.0)
     elif a == dom.lo and dom.lo_singular:
-        h = series_step if series_step is not None else 1e-3 / params.scale
-        A, B = _series_coeffs(params, lam, series_order)
+        h = 1e-3 / params.scale
+        A, B = _series_coeffs(params, lam)
         w0, wp0 = _series_eval(A, B, h)
         t0, y0 = a + h, (float(w0), float(wp0))
         series = (a, h, A, B)
@@ -377,8 +321,7 @@ def shoot(params: ModelParams, lam: float, a: float, *, odd: bool = False,
     if t0 >= t_cap:
         raise DomainError("start too close to the integration cap")
 
-    shot = _integrate_first_wprime_zero(params, lam, t0, y0, t_cap,
-                                        collapse and subthreshold)
+    shot = _integrate_first_wprime_zero(params, lam, t0, y0, t_cap, collapse)
     shot.series = series
     return shot
 
@@ -388,12 +331,11 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
                                  collapse: bool) -> Shot:
     """Integrate w'' = T w' - lam w from (t0, y0) until w' first crosses zero.
 
-    Stops at t_cap otherwise, or with collapse set (below the essential
-    threshold) once the whole state has decayed, integrating with atol
-    1e-13 there.  On the tan branch with t_cap at the pole
-    gap, a no-event outcome is refined by the flux analysis of the
-    remaining sliver ("tail").  The |w'| guard stops hopeless runs into
-    the tan pole's singular mode early ("blow").
+    Otherwise the run stops at t_cap ("cap"), once |w'| passes the growth
+    guard, which stops hopeless runs into the tan pole's singular mode
+    early ("blow"), or with collapse set once the whole state has decayed
+    ("collapse").  Below the essential threshold collapse also tightens
+    atol to 1e-13, so the decay rate can be certified.
     """
     rhs = _make_rhs(params, lam)
 
@@ -418,37 +360,21 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
         ev_collapse.direction = -1
         events.append(ev_collapse)
 
+    tight = collapse and lam <= params.essential_threshold
     sol = _scipy_solve_ivp(rhs, (t0, t_cap), list(y0), method="DOP853",
-                           rtol=RTOL, atol=1e-13 if collapse else ATOL,
+                           rtol=RTOL, atol=1e-13 if tight else ATOL,
                            events=events,
                            dense_output=True)
     if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"integrator failed: {sol.message}")
 
-    t_end = float(sol.t[-1])
-    y_end = (float(sol.y[0, -1]), float(sol.y[1, -1]))
-
-    if sol.t_events[0].size:
-        tz = float(sol.t_events[0][0])
-        yz = (float(sol.y_events[0][0][0]), float(sol.y_events[0][0][1]))
-        return Shot("event", tz, yz, tz, yz, sol.sol, sol.t)
-
-    for i, kind in zip(range(1, len(events)), ("blow", "collapse")):
+    for i, kind in enumerate(("event", "blow", "collapse")[:len(events)]):
         if sol.t_events[i].size:
             y = sol.y_events[i][0]
-            return Shot(kind, None, None, float(sol.t_events[i][0]),
-                        (float(y[0]), float(y[1])), sol.sol, sol.t)
-
-    if params.branch is Branch.TAN:
-        p = params.domain().hi
-        if p - t_cap <= 2.0 * _POLE_GAP / max(params.scale, 1e-300):
-            tail = _tan_tail_zero(params, lam, t_end, y_end[0], y_end[1])
-            if tail is not None:
-                t_star, m_est = tail
-                return Shot("tail", t_star, (m_est, 0.0), t_end, y_end,
-                            sol.sol, sol.t)
-
-    return Shot("cap", None, None, t_end, y_end, sol.sol, sol.t)
+            return Shot(kind, float(sol.t_events[i][0]),
+                        (float(y[0]), float(y[1])), sol.sol, t0)
+    return Shot("cap", float(sol.t[-1]),
+                (float(sol.y[0, -1]), float(sol.y[1, -1])), sol.sol, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +382,14 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
 
 @dataclass
 class ModelSolution:
-    """Trajectory of the model IVP together with its first-maximum data.
+    """First-maximum data of the model IVP, with its dense trajectory.
 
     d is the distance from the start a to the first interior zero of w'
-    (math.inf when certified absent), b = a + d, and m = w(b) in (0, inf).
-    certificate records how the outcome was established; boundary is True
-    when the maximum sits in the analytically handled sliver at the tan
-    pole (full-interval boundary case).  t, w and wp sample the
-    trajectory at the integrator's steps and 400 even points, after the
-    series launch when there is one; they are built on first read.
+    (math.inf when certified absent), b = a + d and m = w(b) in (0, inf);
+    both are None when d is inf.  certificate records how the outcome was
+    established: "event", "pole-regular", "pole-blowup" or
+    "subthreshold".  w_at, wp_at and w_inverse evaluate the trajectory,
+    through the series launch before its first integrated point.
     """
 
     params: ModelParams
@@ -474,33 +399,13 @@ class ModelSolution:
     b: float | None
     m: float | None
     certificate: str
-    boundary: bool
     _shot: Shot = field(repr=False)
-
-    @cached_property
-    def _grid(self):
-        shot = self._shot
-        fill = np.linspace(shot.steps[0], shot.t_end, 400)
-        t = np.unique(np.concatenate([shot.steps, fill]))
-        w, wp = shot.sol(t)
-        if shot.series is not None:
-            a0, h, A, B = shot.series
-            s = np.linspace(0.0, h, 17)
-            ws, wps = _series_eval(A, B, s)
-            t = np.concatenate([a0 + s[:-1], t])
-            w = np.concatenate([ws[:-1], w])
-            wp = np.concatenate([wps[:-1], wp])
-        return t, w, wp
-
-    t = property(lambda self: self._grid[0])
-    w = property(lambda self: self._grid[1])
-    wp = property(lambda self: self._grid[2])
 
     def _eval(self, t, deriv: bool):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(arr)
         shot = self._shot
-        lo, hi = float(shot.steps[0]), shot.t_end
+        lo, hi = shot.t_start, shot.t_end
         for i, ti in enumerate(arr):
             if shot.series is not None and ti < lo:
                 a0, _h, A, B = shot.series
@@ -525,37 +430,27 @@ class ModelSolution:
         and to the end of the integrated trajectory otherwise (w' never
         crossed zero there, so w is still monotone).
         """
-        t_end = self._shot.t_end
-        if math.isfinite(self.d) and self.m is not None:
-            top_t, top_w = self.b, self.m
-        else:
-            top_t = t_end
-            top_w = self.w_at(top_t)
+        top_t = self._shot.t_end
+        top_w = self.m if math.isfinite(self.d) else self.w_at(top_t)
         if not (-1.0 <= y <= top_w):
             raise DomainError(f"value {y} outside the range [-1, {top_w}]")
         if y == -1.0:
             return self.a
-        hi = min(top_t, t_end)
-        w_hi = self.w_at(hi)
-        if y >= w_hi:
-            # sliver beyond the dense span (tan boundary case): linear bridge
-            if top_t > hi and top_w > w_hi:
-                return hi + (top_t - hi) * (y - w_hi) / (top_w - w_hi)
-            return hi
-        return brentq(lambda t: self.w_at(t) - y, self.a, hi,
+        if y >= self.w_at(top_t):
+            return top_t
+        return brentq(lambda t: self.w_at(t) - y, self.a, top_t,
                       xtol=1e-14, rtol=8.9e-16)
 
 
-def solve_ivp(params: ModelParams, lambda_bar: float, a: float, *,
-              horizon: float | None = None,
-              series_step: float | None = None,
-              series_order: int = 4) -> ModelSolution:
+def solve_ivp(params: ModelParams, lambda_bar: float,
+              a: float) -> ModelSolution:
     """Solve the model IVP w(a) = -1, w'(a) = 0 and find the first maximum.
 
-    horizon is the maximum integrated length (default 1e3, or the
-    50/sqrt(|Kbar|) certificate window below the essential threshold).
-    Singular starts launch with a Frobenius series of the given order
-    over series_step (default 1e-3/sqrt(|Kbar|)).
+    The run covers a length of 1e3, or the 50/sqrt(|Kbar|) certificate
+    window below the essential threshold, and on tan ends just short of
+    the pole.  Raises HorizonReached when it finds neither a w' zero nor a
+    certificate, and when above the threshold the state decays below
+    1e-9 first: a turn that far out is lost in rounding.
     """
     if not (lambda_bar > 0.0) or not math.isfinite(lambda_bar):
         raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
@@ -563,32 +458,32 @@ def solve_ivp(params: ModelParams, lambda_bar: float, a: float, *,
     if not (dom.lo <= a < dom.hi):
         raise DomainError(f"start {a} outside domain [{dom.lo}, {dom.hi})")
 
-    shot = shoot(params, lambda_bar, a,
-                 reach=None if horizon is None else a + horizon,
-                 series_step=series_step, series_order=series_order,
-                 collapse=True)
+    shot = shoot(params, lambda_bar, a, collapse=True)
+    subthreshold = lambda_bar <= params.essential_threshold
 
     certificate = shot.kind
     d, b, m = math.inf, None, None
-    if shot.kind in ("event", "tail"):
-        d, b, m = shot.t_zero - a, shot.t_zero, shot.y_zero[0]
+    if shot.kind == "event":
+        d, b, m = shot.t_end - a, shot.t_end, shot.y_end[0]
     elif shot.kind == "blow":
         if params.branch is not Branch.TAN:
             raise IntegrationFailure("solution exceeded the growth guard")
         certificate = "pole-blowup"
+    elif shot.kind == "collapse" and not subthreshold:
+        raise HorizonReached(
+            f"state decayed below 1e-9 at t = {shot.t_end:.6g} before w' "
+            "turned")
     elif params.branch is Branch.TAN:  # cap
         certificate = "pole-regular"
-    elif lambda_bar <= params.essential_threshold:  # cap / collapse
+    elif subthreshold:  # cap / collapse
         _certify_subthreshold(params, lambda_bar, shot)
         certificate = "subthreshold"
     else:
         raise HorizonReached(
-            f"no w' zero within horizon ending at t = {shot.t_end:.6g}; "
-            "increase horizon")
+            f"no w' zero within horizon ending at t = {shot.t_end:.6g}")
 
     return ModelSolution(params=params, lambda_bar=lambda_bar, a=a, d=d,
-                         b=b, m=m, certificate=certificate,
-                         boundary=shot.kind == "tail", _shot=shot)
+                         b=b, m=m, certificate=certificate, _shot=shot)
 
 
 def _certify_subthreshold(params: ModelParams, lam: float,
@@ -607,14 +502,8 @@ def _certify_subthreshold(params: ModelParams, lam: float,
     root = 0.5 * (-theta + math.sqrt(disc))
     ratio = wp_end / w_end
     # the critical case approaches its double root only algebraically
-    tol = max(1e-6, 4.0 / max(shot.t_end - shot.steps[0], 1.0))
+    tol = max(1e-6, 4.0 / max(shot.t_end - shot.t_start, 1.0))
     if abs(ratio - root) > tol * (1.0 + abs(root)):
         raise HorizonReached(
             f"certificate failed: w'/w = {ratio:.6g} not settled at "
             f"decay root {root:.6g}")
-
-
-def first_zero_of_wprime(params: ModelParams, lambda_bar: float, a: float,
-                         **kwargs) -> float:
-    """d(a, T, lambda): distance to the first interior zero of w' (inf allowed)."""
-    return solve_ivp(params, lambda_bar, a, **kwargs).d

@@ -34,7 +34,7 @@ from specgap.model import (
     Branch,
     ModelParams,
     branch_for_curvature,
-    first_zero_of_wprime,
+    solve_ivp,
 )
 from specgap.perturbation import perturbed_params, verify_conditions
 
@@ -113,7 +113,7 @@ def test_criterion_05_monotonicity():
         (ModelParams(3.0, 0.0, Branch.ZERO), 0.0, np.linspace(0.5, 8.0, 20)),
     ]
     for params, a, lams in cases:
-        ds = [first_zero_of_wprime(params, lam, a) for lam in lams]
+        ds = [solve_ivp(params, lam, a).d for lam in lams]
         ok = ok and all(map(math.isfinite, ds))
         ok = ok and all(x > y for x, y in zip(ds, ds[1:]))
     _report(5, "lambda1 decreasing in D (9 grids) and d decreasing in "

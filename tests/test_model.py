@@ -13,7 +13,6 @@ from specgap.model import (
     ModelParams,
     branch_for_curvature,
     drift_eval,
-    first_zero_of_wprime,
     riccati_residual,
     solve_ivp,
     weight_mu,
@@ -134,15 +133,15 @@ def test_zero_branch_closed_form(lam):
 
 def test_initial_conditions_from_grid():
     sol = solve_ivp(TANH3, 3.0, -1.0)
-    assert sol.t[0] == -1.0
-    assert sol.w[0] == pytest.approx(-1.0, abs=1e-12)
-    assert sol.wp[0] == pytest.approx(0.0, abs=1e-12)
+    assert sol.a == -1.0
+    assert sol.w_at(-1.0) == pytest.approx(-1.0, abs=1e-12)
+    assert sol.wp_at(-1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wprime_positive_before_first_zero():
     sol = solve_ivp(TANH3, 3.0, -1.0)
-    interior = (sol.t > sol.a + 1e-6) & (sol.t < sol.b - 1e-6)
-    assert np.all(sol.wp[interior] > 0.0)
+    interior = np.linspace(sol.a + 1e-6, sol.b - 1e-6, 400)
+    assert np.all(sol.wp_at(interior) > 0.0)
     assert sol.m > 0.0
 
 
@@ -157,7 +156,7 @@ def test_wprime_positive_before_first_zero():
 ])
 def test_d_strictly_decreasing_in_lambda(params, a, lams):
     """Property: d(a, T, lam) is strictly decreasing in lam."""
-    ds = [first_zero_of_wprime(params, lam, a) for lam in lams]
+    ds = [solve_ivp(params, lam, a).d for lam in lams]
     assert all(math.isfinite(x) for x in ds)
     assert all(x > y for x, y in zip(ds, ds[1:]))
 
@@ -186,8 +185,26 @@ def test_subthreshold_tanh_from_far_left_still_turns():
 
 
 def test_horizon_reached_raises():
+    # just above theta^2/4 = 1 the turn lies near pi/omega ~ 99, far past
+    # where the decaying state sinks into the integrator's rounding
     with pytest.raises(HorizonReached):
-        solve_ivp(TANH3, 1.2, -2.0, horizon=0.5)
+        solve_ivp(TANH3, 1.001, 5.0)
+
+
+@pytest.mark.parametrize("params,a", [(TANH3, 5.0), (TANH3, 0.0),
+                                      (COTH3, 1.0), (COTH3, 0.0)])
+@pytest.mark.parametrize("lam", [1.0 + 1e-12, 1.001])
+def test_decay_before_turning_raises(params, a, lam):
+    """Above the essential threshold a state that decays below 1e-9
+    before w' turns raises instead of reporting a rounding-noise zero."""
+    with pytest.raises(HorizonReached, match="decayed"):
+        solve_ivp(params, lam, a)
+
+
+def test_turn_above_decay_floor_still_reported():
+    sol = solve_ivp(TANH3, 1.2, 5.0)
+    assert sol.certificate == "event"
+    assert sol.m > 1e-9
 
 
 def test_start_outside_domain_rejected():
@@ -200,21 +217,7 @@ def test_start_outside_domain_rejected():
 
 
 # ---------------------------------------------------------------------------
-# singular launches: Frobenius restart accuracy
-
-def test_series_restart_convergence_order():
-    """Property: halving the series handoff step cuts the downstream
-    error by at least the advertised order (>= 1.9)."""
-    for params, a in ((TAN3, TAN3.domain().lo), (COTH3, 0.0)):
-        ref = solve_ivp(params, 4.5, a, series_step=1e-4)
-        t_eval = a + 0.5
-        errs = []
-        for h in (0.08, 0.02):
-            s = solve_ivp(params, 4.5, a, series_step=h, series_order=2)
-            errs.append(abs(s.w_at(t_eval) - ref.w_at(t_eval)))
-        order = math.log(errs[0] / errs[1]) / math.log(4.0)
-        assert order >= 1.9, (params.branch, errs)
-
+# singular launches
 
 def test_pole_launch_matches_interior_limit():
     # launching exactly at the coth origin agrees with launches just inside
