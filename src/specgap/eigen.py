@@ -113,17 +113,27 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
         target, a, odd = L, query.a, False
     reach = a + _REACH * target
 
-    @cache  # brentq re-evaluates both bracket ends: solve each lam once
-    def f(lam):
-        return (1.0 / _turn_distance(params, lam, a, odd=odd, reach=reach)
-                - 1.0 / target)
-
     # interval-position monotonicity makes the central interval the
     # smallest eigenvalue among intervals of this length, and the
     # quadratic bound floors that, so this seed is already a valid
     # lower bracket up to degenerate equality cases; the widening loop
     # mops those up
     lo = 0.9 * max(shi_zhang(params.dim, params.curv, L), 1e-12)
+    floor = math.nan
+    if query.symmetric and params.branch is Branch.TAN:
+        # lambda_1 >= N Kbar (Lichnerowicz), and at N Kbar the odd
+        # solution is sin(sqrt(Kbar) t), whose w' vanishes at the pole:
+        # a lower end known without a shot into the pole
+        floor = params.dim * params.curv
+        lo = max(lo, floor)
+
+    @cache  # brentq re-evaluates both bracket ends: solve each lam once
+    def f(lam):
+        if lam == floor:
+            return 1.0 / params.domain().hi - 1.0 / target
+        return (1.0 / _turn_distance(params, lam, a, odd=odd, reach=reach)
+                - 1.0 / target)
+
     for _ in range(_MAX_WIDEN):
         if f(lo) < 0.0:
             break

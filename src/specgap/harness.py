@@ -6,8 +6,8 @@ main inequality lambda_1(M) >= alpha lambda_1(n, K, D).  Two further
 checks exercise the analytic core: the gradient comparison on the unit
 sphere, where the model solution reproduces |grad u| = sqrt(1 - u^2)
 exactly, and the diameter chain, which rescales the perturbed model's
-interval back to the original parameters through two continuity solves
-and reports the alpha the chain actually achieves.
+interval back to the original parameters through the model eigenvalues
+at the rescaled length and reports the alpha the chain actually achieves.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .eigen import lambda1_model, symmetric_interval_length
 from .errors import DomainError
@@ -223,22 +222,11 @@ def diameter_chain_check(n: float, K: float, lambda1: float, delta: float,
     d_bar = symmetric_interval_length(params_bar, pp.lambda_bar)
     target = d_bar / math.sqrt(1.0 + delta)
 
-    def gap(c1):
-        return symmetric_interval_length(params_bar,
-                                         c1 * pp.lambda_bar) - target
-
-    # the interval length is strictly decreasing in the eigenvalue, so
-    # C1 >= 1 and a geometric scan finds the far end of the bracket
-    g_one = gap(1.0)
-    if g_one <= 0.0:
-        C1 = 1.0
-    else:
-        c_hi = 1.5
-        for _ in range(80):
-            if gap(c_hi) < 0.0:
-                break
-            c_hi *= 1.5
-        C1 = brentq(gap, 1.0, c_hi, xtol=1e-14, rtol=8.9e-16)
+    # the interval length is strictly decreasing in the eigenvalue, so the
+    # C1 that shrinks it to target is lambda_1 at target over lambda_bar;
+    # solved tighter than the default, as C1 feeds alpha_achieved
+    C1 = max(1.0, lambda1_model(pp.N, pp.K_bar, target, tol=1e-12)
+             / pp.lambda_bar)
 
     lam_target = lambda1_model(n, K, target)
     C2 = lam_target / (C1 * pp.lambda_bar)

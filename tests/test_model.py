@@ -192,7 +192,8 @@ def test_horizon_reached_raises():
 
 
 @pytest.mark.parametrize("params,a", [(TANH3, 5.0), (TANH3, 0.0),
-                                      (COTH3, 1.0), (COTH3, 0.0)])
+                                      (COTH3, 1.0), (COTH3, 0.0)],
+                         ids=["tanh@5", "tanh@0", "coth@1", "coth@0"])
 @pytest.mark.parametrize("lam", [1.0 + 1e-12, 1.001])
 def test_decay_before_turning_raises(params, a, lam):
     """Above the essential threshold a state that decays below 1e-9
