@@ -368,11 +368,11 @@ def _integrate_first_wprime_zero(params: ModelParams, lam: float,
     if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"integrator failed: {sol.message}")
 
-    for i, kind in enumerate(("event", "blow", "collapse")[:len(events)]):
-        if sol.t_events[i].size:
-            y = sol.y_events[i][0]
-            return Shot(kind, float(sol.t_events[i][0]),
-                        (float(y[0]), float(y[1])), sol.sol, t0)
+    for kind, t_ev, y_ev in zip(("event", "blow", "collapse"),
+                                sol.t_events, sol.y_events):
+        if t_ev.size:
+            return Shot(kind, float(t_ev[0]),
+                        (float(y_ev[0][0]), float(y_ev[0][1])), sol.sol, t0)
     return Shot("cap", float(sol.t[-1]),
                 (float(sol.y[0, -1]), float(sol.y[1, -1])), sol.sol, t0)
 
