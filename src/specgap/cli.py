@@ -217,15 +217,20 @@ def bound(n, K, D, alpha, aubry_c, aubry_kbar, aubry_p, fmt):
             raise click.UsageError(
                 "--aubry-p, --aubry-kbar, --aubry-C must be given together")
         aubry_inputs = tuple(given)
-    t0 = time.perf_counter()
-    rep = bounds_mod.bound_report(n, K, D, alpha, aubry_inputs)
-    dt = time.perf_counter() - t0
     query = {"n": n, "K": K, "D": D, "alpha": alpha}
     if aubry_inputs is not None:
         query.update(aubry_p=aubry_p, aubry_kbar=aubry_kbar, aubry_C=aubry_c)
+    _emit(_bound_record(query, aubry_inputs), fmt)
+
+
+def _bound_record(query: dict, aubry_inputs=None) -> dict:
+    """Time bound_report at the query's (n, K, D, alpha); build its record."""
+    t0 = time.perf_counter()
+    rep = bounds_mod.bound_report(query["n"], query["K"], query["D"],
+                                  query["alpha"], aubry_inputs)
+    dt = time.perf_counter() - t0
     results = {k: v for k, v in rep.as_dict().items() if k not in query}
-    _emit(_record(query, results, dict(rep.consistency),
-                  {"compute_s": dt}), fmt)
+    return _record(query, results, dict(rep.consistency), {"compute_s": dt})
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +278,9 @@ def sweep(gridfile, fmt):
     comment.  Rows stream in grid order (n outermost, alpha innermost).
     """
     axes = _parse_grid(gridfile)
-    records = []
-    for n, K, D, alpha in product(axes["n"], axes["k"], axes["d"],
-                                  axes["alpha"]):
-        query = dict(n=n, K=K, D=D, alpha=alpha)
-        t0 = time.perf_counter()
-        rep = bounds_mod.bound_report(n, K, D, alpha)
-        dt = time.perf_counter() - t0
-        results = {k: v for k, v in rep.as_dict().items() if k not in query}
-        records.append(_record(query, results, dict(rep.consistency),
-                               {"compute_s": dt}))
-    _emit(records, fmt)
+    _emit([_bound_record(dict(n=n, K=K, D=D, alpha=alpha))
+           for n, K, D, alpha in product(axes["n"], axes["k"], axes["d"],
+                                         axes["alpha"])], fmt)
 
 
 # ---------------------------------------------------------------------------

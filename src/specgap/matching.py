@@ -16,7 +16,11 @@ symmetric position.  The minimisation/matching facts used here:
   as the start moves left toward the symmetric position.
 * Kbar < 0, lambda_bar <= theta^2/4: only the tanh family turns at all,
   and only for starts left of a critical position; its maximum sweeps
-  (0, 1] between that critical position and the symmetric start.
+  (0, 1] between that critical position and the symmetric start.  A
+  start at or past the critical position never turns (solve_ivp
+  certifies d = inf); matching counts its maximum as m = 0, the limit of
+  m at the critical start, so m stays continuous and non-increasing
+  along the walk and a bracket may end past that position.
 
 The reflection identity w_-(x) = -w(-x)/m maps the solution started at a
 to the one started at -b, exchanging the roles of minimum and maximum;
@@ -50,9 +54,6 @@ __all__ = [
     "match_maximum",
     "r_epsilon",
 ]
-
-_WALK_STEPS = 64
-
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -98,6 +99,19 @@ def constant_drift_limit(params: ModelParams, lambda_bar: float) -> float:
     return math.exp(-params.theta * math.pi / (2.0 * omega))
 
 
+def _at_tan_anchor(params: ModelParams, lambda_bar: float) -> bool:
+    """Whether lambda_bar lies within 1e-9 (relative) of the anchor N Kbar.
+
+    Raises DomainError below the band: no tan family member lives there.
+    """
+    anchor = params.dim * params.curv
+    if lambda_bar < anchor * (1.0 - 1e-9):
+        raise DomainError(
+            f"lambda_bar {lambda_bar} below the full-domain eigenvalue "
+            f"{anchor}")
+    return lambda_bar <= anchor * (1.0 + 1e-9)
+
+
 def m_min(params: ModelParams, lambda_bar: float) -> float:
     """Infimum of the attained maximum over the comparison family.
 
@@ -109,14 +123,8 @@ def m_min(params: ModelParams, lambda_bar: float) -> float:
     pp = _family(params, "pole")
     if pp.branch is Branch.ZERO:
         return 1.0
-    if pp.branch is Branch.TAN:
-        anchor = pp.dim * pp.curv
-        if lambda_bar < anchor * (1.0 - 1e-9):
-            raise DomainError(
-                f"lambda_bar {lambda_bar} below the full-domain eigenvalue "
-                f"{anchor}")
-        if lambda_bar <= anchor * (1.0 + 1e-9):
-            return 1.0  # full-interval boundary case
+    if pp.branch is Branch.TAN and _at_tan_anchor(pp, lambda_bar):
+        return 1.0  # full-interval boundary case
     sol = model.solve_ivp(pp, lambda_bar, pp.domain().lo)
     if math.isinf(sol.d):
         raise CertifiedInfinite(
@@ -148,12 +156,25 @@ def reflection_check(params: ModelParams, lambda_bar: float, a: float,
     return ReflectionReport(sup_err, d_err, max_product_err)
 
 
-def _family_max(params: ModelParams, lambda_bar: float, a: float):
-    """m(a) for one family member; None when certified never to turn."""
+def _family_max(params: ModelParams, lambda_bar: float, a: float) -> float:
+    """m(a) for one family member; 0.0 when certified never to turn."""
     sol = model.solve_ivp(params, lambda_bar, a)
-    if math.isinf(sol.d):
-        return None
-    return sol.m
+    return 0.0 if math.isinf(sol.d) else sol.m
+
+
+def _walk(params: ModelParams, lambda_bar: float, u_star: float,
+          near: float, probe, rising: bool) -> tuple[float, float]:
+    """Probe a = probe(0), probe(1), ... until m(a) crosses u_star.
+
+    RISING: m grows along the walk.  Returns the last probe short of the
+    target (NEAR if none is) and the first one past it.
+    """
+    for k in range(64):
+        a = probe(k)
+        if (_family_max(params, lambda_bar, a) > u_star) == rising:
+            return near, a
+        near = a
+    raise BracketFailure("bracket walk exhausted its step budget")
 
 
 def _match_root(params: ModelParams, lambda_bar: float, u_star: float,
@@ -170,9 +191,9 @@ def match_maximum(params: ModelParams, lambda_bar: float,
                   u_star: float) -> MatchResult:
     """Find the start a whose solution attains max w = u_star.
 
-    Dispatches on curvature sign and the essential threshold, selecting
-    the drift family (and a bracket inside it) before a scalar root find
-    on the strictly monotone family map a -> m(a).
+    Settles the boundary cases (tan anchor, symmetric start, singular
+    start, constant-drift band), then selects the drift family and a
+    bracket inside it for a Brent root of the monotone map a -> m(a).
     """
     if not (0.0 < u_star <= 1.0):
         raise DomainError(f"target maximum must lie in (0, 1], got {u_star}")
@@ -186,143 +207,61 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         a = -0.5 * math.pi / math.sqrt(lambda_bar)
         return MatchResult(params, a, "zero-symmetric", u_star, 1.0, 0.0)
 
-    if params.curv > 0:
-        return _match_tan(_family(params, "pole"), lambda_bar, u_star)
-    return _match_negative(params, lambda_bar, u_star)
-
-
-def _match_symmetric(params: ModelParams, lambda_bar: float,
-                     u_star: float, case: str) -> MatchResult:
+    pole = _family(params, "pole")
     even = _family(params, "symmetric")
-    a = -0.5 * symmetric_interval_length(even, lambda_bar)
-    return MatchResult(even, a, case, u_star, 1.0, 1.0 - u_star)
-
-
-def _match_tan(params: ModelParams, lambda_bar: float,
-               u_star: float) -> MatchResult:
-    anchor = params.dim * params.curv
-    if lambda_bar < anchor * (1.0 - 1e-9):
-        raise DomainError(
-            f"lambda_bar {lambda_bar} below the full-domain eigenvalue "
-            f"{anchor}")
-    if lambda_bar <= anchor * (1.0 + 1e-9):
+    prefix = "tan" if params.curv > 0 else "neg"
+    if params.curv > 0 and _at_tan_anchor(pole, lambda_bar):
         # family degenerate: only the full interval with max 1
         if u_star >= 1.0 - 1e-9:
-            a = params.domain().lo
-            return MatchResult(params, a, "tan-anchor", u_star, 1.0,
-                               1.0 - u_star, boundary=True)
+            return MatchResult(pole, pole.domain().lo, "tan-anchor", u_star,
+                               1.0, 1.0 - u_star, boundary=True)
         raise TargetBelowMinimum(
             "at the anchor eigenvalue the family only attains max w = 1")
 
-    lo_val = m_min(params, lambda_bar)
-    if u_star < lo_val * (1.0 - 1e-12) - 1e-15:
-        raise TargetBelowMinimum(
-            f"target {u_star} below family minimum {lo_val}")
     if u_star >= 1.0 - 1e-12:
-        return _match_symmetric(params, lambda_bar, u_star, "tan-symmetric")
+        a = -0.5 * symmetric_interval_length(even, lambda_bar)
+        return MatchResult(even, a, f"{prefix}-symmetric", u_star, 1.0,
+                           1.0 - u_star)
 
-    pole = params.domain().lo
-    a_sym = -0.5 * symmetric_interval_length(params, lambda_bar)
-    if u_star <= lo_val:
-        return MatchResult(params, pole, "tan-pole", u_star, lo_val,
-                           lo_val - u_star, boundary=True)
-    return _match_root(params, lambda_bar, u_star, pole, a_sym,
-                       "tan-interior")
-
-
-def _walk_until(fvals_needed, start, step_fn, max_steps=_WALK_STEPS):
-    """Geometric walk helper; returns the first argument meeting the goal."""
-    a = start
-    for k in range(max_steps):
-        a = step_fn(start, k)
-        if fvals_needed(a):
-            return a
-    raise BracketFailure("bracket walk exhausted its step budget")
-
-
-def _match_negative(params: ModelParams, lambda_bar: float,
-                    u_star: float) -> MatchResult:
-    s = params.scale
-    thresh = params.essential_threshold
-    coth = _family(params, "pole")
-    tanh = _family(params, "symmetric")
-
-    if u_star >= 1.0 - 1e-12:
-        return _match_symmetric(params, lambda_bar, u_star,
-                                "neg-symmetric")
-
-    if lambda_bar > thresh:
-        m_const = constant_drift_limit(params, lambda_bar)
-        band = max(1e-9, 1e-9 * m_const)
-        lo_val = m_min(coth, lambda_bar)
+    # the pole family turns, so its singular start bounds m from below
+    turns = params.curv > 0 or lambda_bar > params.essential_threshold
+    if turns:
+        lo_val = m_min(pole, lambda_bar)
         if u_star < lo_val * (1.0 - 1e-12) - 1e-15:
             raise TargetBelowMinimum(
                 f"target {u_star} below family minimum {lo_val}")
         if u_star <= lo_val:
-            return MatchResult(coth, 0.0, "neg-pole", u_star, lo_val,
-                               lo_val - u_star, boundary=True)
+            return MatchResult(pole, pole.domain().lo, f"{prefix}-pole",
+                               u_star, lo_val, lo_val - u_star, boundary=True)
 
-        if abs(u_star - m_const) <= band:
+    s = params.scale
+    if params.curv < 0 and turns:
+        m_const = constant_drift_limit(params, lambda_bar)
+        if abs(u_star - m_const) <= max(1e-9, 1e-9 * m_const):
             # distant-start boundary: both families flatten at m_const
             a_big = 14.0 / (2.0 * s) * max(1.0, math.log(10.0))
-            attained = _family_max(tanh, lambda_bar, a_big)
-            return MatchResult(tanh, a_big, "neg-constant", u_star,
+            attained = _family_max(even, lambda_bar, a_big)
+            return MatchResult(even, a_big, "neg-constant", u_star,
                                attained, attained - u_star, boundary=True)
-
         if u_star < m_const:
             # coth family: m increases from m_min (a -> 0) to m_const
-            a_hi = _walk_until(
-                lambda a: _family_max(coth, lambda_bar, a) - u_star > 0.0,
-                0.25 / s, lambda a0, k: a0 * 1.6 ** k)
-            return _match_root(coth, lambda_bar, u_star, coth.domain().lo,
-                               a_hi, "neg-super-coth")
+            _, a_hi = _walk(pole, lambda_bar, u_star, 0.0,
+                            lambda k: 0.25 / s * 1.6 ** k, rising=True)
+            return _match_root(pole, lambda_bar, u_star, 0.0, a_hi,
+                               "neg-super-coth")
 
-        # tanh family: m decreases from 1 (symmetric start) to m_const
-        a_sym = -0.5 * symmetric_interval_length(tanh, lambda_bar)
-        a_hi = _walk_until(
-            lambda a: _family_max(tanh, lambda_bar, a) - u_star < 0.0,
-            a_sym, lambda a0, k: a0 + (2.0 ** k) * 0.25 / s)
-        return _match_root(tanh, lambda_bar, u_star, a_sym, a_hi,
-                           "neg-super-tanh")
-
-    # below the essential threshold: tanh starts left of the critical
-    # position; m sweeps (0, 1] on [a_sym, a_crit)
-    a_sym = -0.5 * symmetric_interval_length(tanh, lambda_bar)
-
-    def m_of(a):
-        return _family_max(tanh, lambda_bar, a)
-
-    a_lo, f_lo = a_sym, 1.0 - u_star
-    a_hi = None
-    a_probe = a_sym
-    for k in range(_WALK_STEPS):
-        a_probe = a_sym + (2.0 ** k) * 0.25 / s
-        mk = m_of(a_probe)
-        if mk is None:
-            # stepped past the critical start; bisect back to finite m
-            lo, hi = a_lo, a_probe
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                mm = m_of(mid)
-                if mm is None:
-                    hi = mid
-                elif mm > u_star:
-                    lo, a_lo = mid, mid
-                else:
-                    a_hi = mid
-                    break
-            if a_hi is not None:
-                break
-            raise BracketFailure("could not straddle the target before the "
-                                 "critical start")
-        if mk > u_star:
-            a_lo = a_probe
-        else:
-            a_hi = a_probe
-            break
-    if a_hi is None:
-        raise BracketFailure("bracket walk exhausted its step budget")
-    return _match_root(tanh, lambda_bar, u_star, a_lo, a_hi, "neg-sub")
+    a_sym = -0.5 * symmetric_interval_length(even, lambda_bar)
+    if params.curv > 0:
+        return _match_root(pole, lambda_bar, u_star, pole.domain().lo, a_sym,
+                           "tan-interior")
+    # tanh family: m decreases from 1 (symmetric start) toward m_const,
+    # or below the threshold to 0 at the critical start and beyond
+    a_lo, a_hi = _walk(even, lambda_bar, u_star, a_sym,
+                       lambda k: a_sym + 2.0 ** k * 0.25 / s, rising=False)
+    # below the threshold a_hi may sit on the m = 0 plateau, so Brent
+    # starts from the last probe that turned above the target
+    return _match_root(even, lambda_bar, u_star, a_sym if turns else a_lo,
+                       a_hi, "neg-super-tanh" if turns else "neg-sub")
 
 
 def r_epsilon(params: ModelParams, lambda_bar: float, a: float, eps: float,

@@ -402,20 +402,15 @@ class ModelSolution:
     _shot: Shot = field(repr=False)
 
     def _eval(self, t, deriv: bool):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(arr)
+        t = np.asarray(t, dtype=float)
         shot = self._shot
-        lo, hi = shot.t_start, shot.t_end
-        for i, ti in enumerate(arr):
-            if shot.series is not None and ti < lo:
-                a0, _h, A, B = shot.series
-                s = max(ti - a0, 0.0)
-                w, wp = _series_eval(A, B, s)
-                out[i] = wp if deriv else w
-            else:
-                tc = min(max(ti, lo), hi)
-                out[i] = shot.sol(tc)[1 if deriv else 0]
-        return out if np.asarray(t).ndim else float(out[0])
+        k = 1 if deriv else 0
+        out = shot.sol(np.clip(t, shot.t_start, shot.t_end))[k]
+        if shot.series is not None and (t < shot.t_start).any():
+            a0, _h, A, B = shot.series
+            series = _series_eval(A, B, np.maximum(t - a0, 0.0))[k]
+            out = np.where(t < shot.t_start, series, out)
+        return out if t.ndim else float(out)
 
     def w_at(self, t):
         return self._eval(t, deriv=False)

@@ -26,11 +26,9 @@ J = 1-delta when K >= 0 and J = 1+delta when K < 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InfeasibleDelta
 
@@ -97,37 +95,25 @@ def y_window(delta: float) -> tuple[float, float]:
             (1.0 + delta) / (1.0 + 2.0 * delta))
 
 
-def _cond1_root(n: float, alpha: float) -> float:
-    """Smaller root of 2(1-alpha) y^2 - (n+1) y + (n-1): condition (1)
-    holds on the window iff its upper end stays below this root."""
-    disc = (n - 3.0) ** 2 + 8.0 * alpha * (n - 1.0)
-    return (n + 1.0 - math.sqrt(disc)) / (4.0 * (1.0 - alpha))
-
-
 def choose_alpha_beta(n: float, delta: float) -> tuple[float, float]:
     """Half the supremal feasible (alpha, beta) for conditions (1)-(2).
 
-    beta's supremum is explicit; alpha's solves g(alpha) = y_hi where g
-    is the smaller quadratic root above, decreasing from g(0) = 1 (n >= 3)
-    to (n-1)/(n+1) as alpha -> 1.
+    beta's supremum is explicit.  Condition (1) is tight at the window's
+    upper end y_hi when alpha = 1 - ((n+1) y_hi - (n-1)) / (2 y_hi^2),
+    capped at 1; it holds on the whole window iff that value is
+    nonnegative and y_hi lies left of the vertex (n+1) / (4 (1-alpha)),
+    that is at or below the quadratic's smaller root.
     """
     _validate_n_delta(n, delta)
     y_hi = y_window(delta)[1]
     beta_sup = (n + 1.0) * (1.0 - y_hi) / (2.0 * n)
-    beta = 0.5 * beta_sup
-    root0 = _cond1_root(n, 0.0)
-    if root0 <= y_hi + 1e-15:
-        # at delta = 0 and n >= 3 the alpha = 0 root sits exactly on the
-        # window edge: supremal alpha is 0, any smaller window edge
-        # means even alpha = 0 fails
-        if root0 < y_hi - 1e-12:
-            raise InfeasibleDelta(
-                f"condition (1) infeasible already at alpha = 0 for "
-                f"n = {n}, delta = {delta}")
-        return 0.0, beta
-    alpha_sup = brentq(lambda al: _cond1_root(n, al) - y_hi,
-                       0.0, 1.0 - 1e-12, xtol=1e-15, rtol=8.9e-16)
-    return 0.5 * alpha_sup, beta
+    alpha_sup = min(1.0, 1.0 - ((n + 1.0) * y_hi - (n - 1.0))
+                    / (2.0 * y_hi * y_hi))
+    if alpha_sup < 0.0 or 4.0 * (1.0 - alpha_sup) * y_hi > n + 1.0:
+        raise InfeasibleDelta(
+            f"condition (1) infeasible already at alpha = 0 for "
+            f"n = {n}, delta = {delta}")
+    return 0.5 * alpha_sup, 0.5 * beta_sup
 
 
 def choose_K_bar(n: float, delta: float, K: float, sigma: float = 0.0,

@@ -155,10 +155,12 @@ def test_match_negative_subthreshold():
 
 
 def test_match_negative_subthreshold_small_target():
-    # deep targets push the start toward the certified-infinite cutoff
-    res = match_maximum(COTH3, 0.9, 0.02)
-    assert res.case == "neg-sub"
-    assert res.residual == pytest.approx(0.0, abs=1e-8)
+    # deep targets push the start toward the certified-infinite cutoff;
+    # at 1e-3 the walk's far probe lies past it, where m counts as 0
+    for u in (0.02, 1e-3):
+        res = match_maximum(COTH3, 0.9, u)
+        assert res.case == "neg-sub"
+        assert res.residual == pytest.approx(0.0, abs=1e-8)
 
 
 def test_match_zero_branch():

@@ -80,6 +80,31 @@ def test_choose_alpha_beta_unperturbed_limit():
     assert beta == 0.0
 
 
+@pytest.mark.parametrize("n,delta", [(10, 0.3), (50, 0.1)])
+def test_choose_alpha_beta_window_below_linear_root(n, delta):
+    # y_hi < (n-1)/(n+1): condition (1) holds for every alpha < 1, so the
+    # supremum is 1 and the choice is 1/2
+    alpha, _ = choose_alpha_beta(n, delta)
+    assert alpha == 0.5
+    y = np.linspace(*y_window(delta), 201)
+    assert np.all(cond1_margin(n, alpha, y) >= 0.0)
+
+
+def test_choose_alpha_beta_supremum_one_exactly():
+    # y_hi = 11/12 = (n-1)/(n+1) at n = 23: the supremum is exactly 1
+    alpha, _ = choose_alpha_beta(23, 0.1)
+    assert alpha == pytest.approx(0.5, abs=1e-15)
+
+
+def test_choose_alpha_beta_infeasible():
+    # n = 2: the alpha = 0 quadratic (2y - 1)(y - 1) is negative on
+    # (1/2, 1), and at delta = 0 y_hi = 1 sits past its vertex 3/4
+    with pytest.raises(InfeasibleDelta):
+        choose_alpha_beta(2, 0.1)
+    with pytest.raises(InfeasibleDelta):
+        choose_alpha_beta(2, 0.0)
+
+
 def test_validation():
     with pytest.raises(DomainError):
         choose_N(1.0, 0.1)
