@@ -20,7 +20,8 @@ symmetric position.  The minimisation/matching facts used here:
   start at or past the critical position never turns (solve_ivp
   certifies d = inf); matching counts its maximum as m = 0, the limit of
   m at the critical start, so m stays continuous and non-increasing
-  along the walk and a bracket may end past that position.
+  along the walk and a bracket may end past that position.  Any other
+  certified non-turning start (tan pole blow-up) raises CertifiedInfinite.
 
 The reflection identity w_-(x) = -w(-x)/m maps the solution started at a
 to the one started at -b, exchanging the roles of minimum and maximum;
@@ -37,12 +38,8 @@ from scipy.optimize import brentq
 
 from . import model
 from .eigen import symmetric_interval_length
-from .errors import (
-    BracketFailure,
-    CertifiedInfinite,
-    DomainError,
-    TargetBelowMinimum,
-)
+from .errors import (BracketFailure, CertifiedInfinite, DomainError,
+                     TargetBelowMinimum)
 from .model import Branch, ModelParams
 
 __all__ = [
@@ -157,8 +154,10 @@ def reflection_check(params: ModelParams, lambda_bar: float, a: float,
 
 
 def _family_max(params: ModelParams, lambda_bar: float, a: float) -> float:
-    """m(a) for one family member; 0.0 when certified never to turn."""
+    """m(a) for one family member; 0.0 past the critical start (see top)."""
     sol = model.solve_ivp(params, lambda_bar, a)
+    if math.isinf(sol.d) and sol.certificate != "subthreshold":
+        raise CertifiedInfinite(f"start {a} never turns ({sol.certificate})")
     return 0.0 if math.isinf(sol.d) else sol.m
 
 

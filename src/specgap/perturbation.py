@@ -98,21 +98,28 @@ def y_window(delta: float) -> tuple[float, float]:
 def choose_alpha_beta(n: float, delta: float) -> tuple[float, float]:
     """Half the supremal feasible (alpha, beta) for conditions (1)-(2).
 
-    beta's supremum is explicit.  Condition (1) is tight at the window's
-    upper end y_hi when alpha = 1 - ((n+1) y_hi - (n-1)) / (2 y_hi^2),
-    capped at 1; it holds on the whole window iff that value is
-    nonnegative and y_hi lies left of the vertex (n+1) / (4 (1-alpha)),
-    that is at or below the quadratic's smaller root.
+    beta's supremum is explicit.  The smaller root of the condition (1)
+    quadratic decreases in alpha from (n+1 - |n-3|)/4 at alpha = 0, so
+    the condition is feasible iff y_hi lies at or below that root (to
+    1e-12).  It is tight at y_hi when
+
+        alpha = 1 - ((n+1) y_hi - (n-1)) / (2 y_hi^2)
+              = (1 - y_hi) ((n-1) - 2 y_hi) / (2 y_hi^2),
+
+    clamped to [0, 1]; the factored form carries 1 - y_hi = delta /
+    (1 + 2 delta) exactly, so alpha does not cancel near y_hi = 1.
     """
     _validate_n_delta(n, delta)
     y_hi = y_window(delta)[1]
     beta_sup = (n + 1.0) * (1.0 - y_hi) / (2.0 * n)
-    alpha_sup = min(1.0, 1.0 - ((n + 1.0) * y_hi - (n - 1.0))
-                    / (2.0 * y_hi * y_hi))
-    if alpha_sup < 0.0 or 4.0 * (1.0 - alpha_sup) * y_hi > n + 1.0:
+    root0 = 0.25 * (n + 1.0 - abs(n - 3.0))
+    if root0 < y_hi - 1e-12:
         raise InfeasibleDelta(
             f"condition (1) infeasible already at alpha = 0 for "
             f"n = {n}, delta = {delta}")
+    gap = delta / (1.0 + 2.0 * delta)
+    alpha_sup = gap * ((n - 1.0) - 2.0 * y_hi) / (2.0 * y_hi * y_hi)
+    alpha_sup = min(1.0, max(0.0, alpha_sup))
     return 0.5 * alpha_sup, 0.5 * beta_sup
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specgap import matching
 from specgap.errors import CertifiedInfinite, DomainError, TargetBelowMinimum
 from specgap.matching import (
     constant_drift_limit,
@@ -161,6 +162,15 @@ def test_match_negative_subthreshold_small_target():
         res = match_maximum(COTH3, 0.9, u)
         assert res.case == "neg-sub"
         assert res.residual == pytest.approx(0.0, abs=1e-8)
+
+
+def test_family_max_zero_only_below_threshold():
+    # a tanh start far right of the critical position is certified never
+    # to turn below the threshold and counts as m = 0; a tan start right
+    # of the symmetric one runs into the pole, where 0 is no limit of m
+    assert matching._family_max(TANH3, 0.9, 20.0) == 0.0
+    with pytest.raises(CertifiedInfinite):
+        matching._family_max(TAN3, 4.5, 0.5)
 
 
 def test_match_zero_branch():

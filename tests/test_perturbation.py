@@ -96,6 +96,18 @@ def test_choose_alpha_beta_supremum_one_exactly():
     assert alpha == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("n,delta", [(3.9, 0.0), (3.0, 1e-9), (3.0 - 1e-13, 0.0)])
+def test_choose_alpha_beta_near_zero_supremum(n, delta):
+    # alpha_sup sits at or within rounding of 0: at (3.9, 0)
+    # (n+1) - (n-1) rounds to 2 + 2^-51, at (3, 1e-9) alpha_sup is
+    # (1 - y_hi)^2 / y_hi^2 ~ 1e-18, and n = 3 - 1e-13 lies inside the
+    # 1e-12 feasibility band; none may read as infeasible
+    alpha, _ = choose_alpha_beta(n, delta)
+    assert 0.0 <= alpha <= 1e-15
+    if delta == 0.0:
+        assert alpha == 0.0
+
+
 def test_choose_alpha_beta_infeasible():
     # n = 2: the alpha = 0 quadratic (2y - 1)(y - 1) is negative on
     # (1/2, 1), and at delta = 0 y_hi = 1 sits past its vertex 3/4
