@@ -6,14 +6,17 @@ Two independent routes are provided and kept deliberately separate:
 * a finite-volume matrix discretisation of the self-adjoint form
   (mu w')' = -lambda mu w (the cross-checking oracle).
 
-Shooting exploits a parity fact for symmetric intervals [-L/2, L/2] with
-an even weight: the first nontrivial Neumann eigenfunction is odd, so it
-solves v(0) = 0, v'(0) = 1 and its first critical point sits at L/2.
-That formulation never integrates toward a singular pole of the drift
-(the critical point is located transversally in the interior), which is
-what makes eigenvalues at the spherical anchor both fast and accurate.
-Asymmetric intervals use the general first-maximum distance d(a, T, lam);
-either length fixes lambda_1 as a Brent root in lam (about 7 IVP solves).
+Shooting follows the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
+(model.prufer_angle) to the far end of the interval, where the Neumann
+condition w' = 0 reads phi = pi/2, so lambda_1 is the root of a
+continuous, strictly increasing function with no event or cap.  On a
+symmetric interval [-L/2, L/2] with an even weight the first nontrivial
+eigenfunction is odd: it starts at the midpoint from v(0) = 0, v'(0) = 1
+and never integrates toward a pole.  Other intervals launch at the left
+end, a tan interval ending at the right pole from its mirror image.  The
+root is a Brent root in sqrt(lam) (about 9 solves with its certificate):
+the angle must change sign across lam (1 -+ tol) by more than its
+integration error, or NumericalError is raised.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .bounds import shi_zhang
 from .errors import (
     BracketFailure,
     DomainError,
-    HorizonReached,
     MeshTooCoarse,
+    NumericalError,
     SingularWeight,
 )
 from .model import Branch, ModelParams
@@ -47,7 +50,8 @@ __all__ = [
 
 _MAX_WIDEN = 40
 _MAX_ITER = 100
-_REACH = 1.5  # capped reach in target lengths: the lower seed measures finite
+# bound on the Pruefer angle's integration error, for the root certificate
+_ANGLE_ERR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ class EigenQuery:
             raise DomainError(
                 f"interval [{self.a}, {self.b}] outside model domain "
                 f"[{dom.lo}, {dom.hi}]")
-        if not (self.tol > 0):
-            raise DomainError("tolerance must be positive")
+        if not (0.0 < self.tol < 1.0):
+            raise DomainError(f"tolerance must lie in (0, 1), got {self.tol}")
 
     @property
     def length(self) -> float:
@@ -81,81 +85,66 @@ class EigenQuery:
         return abs(self.a + self.b) <= 1e-12 * max(1.0, abs(self.a), abs(self.b))
 
 
-# ---------------------------------------------------------------------------
-# capped length measurements (what the root find matches to a target)
-
-def _turn_distance(params: ModelParams, lam: float, a: float, *,
-                   odd: bool = False, reach: float | None = None) -> float:
-    """Distance from a to the first w'-zero of the launch at a.
-
-    odd launches v(a) = 0, v'(a) = 1 (half-lengths from the midpoint).
-    Returns inf when no zero occurs before min(reach, pole cap); that is
-    enough to know the measured length exceeds the reach.
-    """
-    shot = model.shoot(params, lam, a, odd=odd, reach=reach)
-    if shot.kind == "event":
-        return shot.t_end - a
-    return math.inf
-
-
 def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
-    """First nontrivial Neumann eigenvalue by a Brent root find in lam.
+    """First nontrivial Neumann eigenvalue, certified to query.tol.
 
-    The measured length (symmetric half-length, or d(a, T, lam) for
-    asymmetric intervals) is strictly decreasing in lam, so
-    1/measure(lam) - 1/target rises through zero at lambda_1 (it is
-    -1/target where no w' zero falls within the reach).
+    A Brent root in k = sqrt(lam) of the Pruefer angle at the far end less
+    pi/2 (see the module docstring).  The full tan domain is the round
+    sphere: N Kbar, without integrating.  Raises NumericalError when the
+    angle cannot certify the root to query.tol.
     """
     params, L = query.params, query.length
-    if query.symmetric:
-        target, a, odd = 0.5 * L, 0.0, True
-    else:
-        target, a, odd = L, query.a, False
-    reach = a + _REACH * target
+    tan = params.branch is Branch.TAN
+    if tan and L >= math.pi / params.scale * (1.0 - 1e-12):
+        return float(params.dim * params.curv)  # sin(sqrt(Kbar) t) closes it
+    a, b, odd = query.a, query.b, query.symmetric
+    if odd:
+        a, b = 0.0, 0.5 * L
+    elif tan and b == params.domain().hi:
+        a, b = -b, -a  # the even weight mirrors it onto a left-pole launch
+
+    @cache  # brentq re-evaluates both bracket ends: solve each k once
+    def f(k):
+        """Angle past pi/2 at lam = k^2, in which it is close to linear."""
+        return model.prufer_angle(params, k * k, a, b, odd=odd) - 0.5 * math.pi
 
     # interval-position monotonicity makes the central interval the
     # smallest eigenvalue among intervals of this length, and the
-    # quadratic bound floors that, so this seed is already a valid
-    # lower bracket up to degenerate equality cases; the widening loop
-    # mops those up
-    lo = 0.9 * max(shi_zhang(params.dim, params.curv, L), 1e-12)
-    floor = math.nan
-    if query.symmetric and params.branch is Branch.TAN:
-        # lambda_1 >= N Kbar (Lichnerowicz), and at N Kbar the odd
-        # solution is sin(sqrt(Kbar) t), whose w' vanishes at the pole:
-        # a lower end known without a shot into the pole
-        floor = params.dim * params.curv
-        lo = max(lo, floor)
-
-    @cache  # brentq re-evaluates both bracket ends: solve each lam once
-    def f(lam):
-        if lam == floor:
-            return 1.0 / params.domain().hi - 1.0 / target
-        return (1.0 / _turn_distance(params, lam, a, odd=odd, reach=reach)
-                - 1.0 / target)
-
+    # quadratic bound and, on tan, N Kbar (Lichnerowicz) floor that, so
+    # this seed is already a valid lower bracket up to degenerate
+    # equality cases; the widening loop mops those up
+    nk = params.dim * max(params.curv, 0.0)
+    lo = math.sqrt(max(0.9 * shi_zhang(params.dim, params.curv, L), nk, 1e-12))
     for _ in range(_MAX_WIDEN):
         if f(lo) < 0.0:
             break
-        lo /= 16.0
+        lo /= 4.0
     else:
         raise BracketFailure("no lower bracket for the eigenvalue")
 
-    hi = 8.0 * max(math.pi ** 2 / L ** 2,
-                   params.dim * max(params.curv, 0.0))
+    hi = math.sqrt(8.0 * max(math.pi ** 2 / L ** 2, nk))
     for _ in range(_MAX_WIDEN):
         if f(hi) >= 0.0:
             break
-        hi *= 4.0
+        hi *= 2.0
     else:
         raise BracketFailure("no upper bracket for the eigenvalue")
 
-    lam, info = brentq(f, lo, hi, xtol=query.tol * lo, rtol=query.tol,
-                       maxiter=_MAX_ITER, full_output=True, disp=False)
+    # k to a tenth of the band, so the certificate probes clear the root
+    tol = query.tol
+    k, info = brentq(f, lo, hi, xtol=0.05 * tol * lo,
+                     rtol=max(0.05 * tol, 1e-15), maxiter=_MAX_ITER,
+                     full_output=True, disp=False)
     if not info.converged:
         raise BracketFailure(f"root find did not converge in {_MAX_ITER} "
                              f"iterations ({info.flag})")
-    return lam
+    # the band lam (1 -+ tol) around lam = k^2 must bracket the root
+    if not (f(k * math.sqrt(1.0 - tol)) < -_ANGLE_ERR
+            and f(k * math.sqrt(1.0 + tol)) > _ANGLE_ERR):
+        raise NumericalError(
+            f"eigenvalue {k * k!r} not certified to {tol:g}: the angle does "
+            f"not clear its error {_ANGLE_ERR:g} across the band")
+    return k * k
 
 
 def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:
@@ -174,8 +163,7 @@ def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:
         if D > full * (1.0 + 1e-12):
             raise DomainError(
                 f"diameter {D} exceeds the model domain pi/sqrt(K) = {full}")
-        if D >= full * (1.0 - 1e-12):  # the round sphere, sin(sqrt(K) t)
-            return float(params.dim * params.curv)
+        D = min(D, full)
     return neumann_eigenvalue_shooting(
         EigenQuery(params, -0.5 * D, 0.5 * D, tol))
 
@@ -185,30 +173,36 @@ def symmetric_interval_length(params: ModelParams,
     """Length of the symmetric interval whose first Neumann eigenvalue
     equals lambda_bar (inverse of lambda1 in the diameter slot).
 
-    Tan branch: defined for lambda_bar >= N Kbar; at the anchor value the
-    full domain pi/sqrt(Kbar) is returned (boundary case).  Coth has no
-    symmetric interval.  The search runs over the model's default
-    horizon (see model.shoot).
+    Twice the t where the odd launch's Pruefer angle reaches pi/2, a Brent
+    root in t: every crossing is upward (phi' = sqrt(lambda_bar) there),
+    so it is the only one.  Below pi/2 the angle rises at least at
+    sqrt(lambda_bar) off the tan branch, so the crossing comes before
+    pi/sqrt(lambda_bar).  Tan branch: defined for lambda_bar >= N Kbar; at
+    the anchor value, or with the crossing within 1e-9 relative of the
+    pole, the full domain pi/sqrt(Kbar) is returned (boundary case).
+    Coth has no symmetric interval.
     """
     if params.branch is Branch.COTH:
         raise DomainError("coth branch admits no symmetric interval")
     if not (lambda_bar > 0):
         raise DomainError("lambda_bar must be positive")
+
+    def f(t):
+        return (model.prufer_angle(params, lambda_bar, 0.0, t, odd=True)
+                - 0.5 * math.pi)
+
+    hi = math.pi / math.sqrt(lambda_bar)
     if params.branch is Branch.TAN:
+        full = math.pi / params.scale
         anchor = params.dim * params.curv
         if lambda_bar < anchor * (1.0 - 1e-12):
             raise DomainError(
                 f"lambda_bar {lambda_bar} below the full-domain eigenvalue "
                 f"N Kbar = {anchor}")
-        if lambda_bar <= anchor * (1.0 + 1e-10):
-            return math.pi / params.scale
-
-    half = _turn_distance(params, lambda_bar, 0.0, odd=True)
-    if math.isinf(half):
-        if params.branch is Branch.TAN:
-            return math.pi / params.scale
-        raise HorizonReached("no symmetric interval found within the horizon")
-    return 2.0 * half
+        hi = 0.5 * full * (1.0 - 1e-9)
+        if lambda_bar <= anchor * (1.0 + 1e-10) or f(hi) <= 0.0:
+            return full
+    return 2.0 * brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 # ---------------------------------------------------------------------------

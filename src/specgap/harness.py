@@ -199,8 +199,6 @@ class ChainReport:
     K_bar: float
     d_bar: float
     target: float
-    C1: float
-    C2: float
     alpha_achieved: float
     ok: bool
 
@@ -211,27 +209,18 @@ def diameter_chain_check(n: float, K: float, lambda1: float, delta: float,
 
     Starting from lambda_bar = (1+2 delta) lambda_1 and the perturbed
     (N, Kbar), the symmetric interval length d_bar shrinks by
-    sqrt(1+delta); C1 restores that length within the (N, Kbar) family
-    and C2 converts to the (n, K) family at the same length.  The
-    achieved alpha = 1/((1+2 delta) C1 C2), in which C1 cancels, is
-    lambda_1 over the (n, K) eigenvalue at that length; it must stay
-    below 1 and approach it as delta -> 0.
+    sqrt(1+delta) to target.  The achieved alpha is lambda_1 over the
+    (n, K) model eigenvalue at target; it must stay below 1 and approach
+    it as delta -> 0.
     """
     pp = perturbed_params(n, delta, lambda1, K, sigma)
     params_bar = ModelParams(pp.N, pp.K_bar,
                              branch_for_curvature(pp.K_bar, "symmetric"))
     d_bar = symmetric_interval_length(params_bar, pp.lambda_bar)
     target = d_bar / math.sqrt(1.0 + delta)
-
-    # the interval length is strictly decreasing in the eigenvalue, so the
-    # C1 that shrinks it to target is lambda_1 at target over lambda_bar
-    C1 = max(1.0, lambda1_model(pp.N, pp.K_bar, target) / pp.lambda_bar)
-
-    lam_target = lambda1_model(n, K, target)
-    C2 = lam_target / (C1 * pp.lambda_bar)
-    alpha_achieved = lambda1 / lam_target
+    alpha_achieved = lambda1 / lambda1_model(n, K, target)
     ok = 0.0 < alpha_achieved <= 1.0 + 1e-12
     return ChainReport(n=n, K=K, lambda1=lambda1, delta=delta,
                        lambda_bar=pp.lambda_bar, N=pp.N, K_bar=pp.K_bar,
-                       d_bar=d_bar, target=target, C1=C1, C2=C2,
+                       d_bar=d_bar, target=target,
                        alpha_achieved=alpha_achieved, ok=ok)

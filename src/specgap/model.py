@@ -22,25 +22,35 @@ Each T equals -mu'/mu for the weight mu = cos^{N-1}, cosh^{N-1},
 sinh^{N-1}, 1 respectively, so L_T is the radial part of the weighted
 Laplacian and (mu w')' = -lambda mu w in self-adjoint form.
 
-The initial value problem solved here is
+Two integrations start from the launch w(a) = -1, w'(a) = 0 (or the odd
+start w(a) = 0, w'(a) = 1 for eigenvalues); starts at a singular endpoint
+of the domain (tan's left pole, coth's origin) use a Frobenius series.
 
-    w'' - T w' + lambda w = 0,   w(a) = -1,   w'(a) = 0,
-
-and the quantity of interest is d(a, T, lambda): the distance from a to
-the first interior zero of w', together with the attained maximum
-m = w(a + d).  Starts at a singular endpoint of the domain (tan's left
-pole, coth's origin) use a Frobenius series launch.  On the tan branch
-the integrator stops a small gap short of the right pole; a run with no
-w' zero by then has its maximum at the pole (d = inf).
+* prufer_angle integrates the scaled Pruefer angle
+  phi = atan2(sqrt(lambda) w, w'), which obeys the bounded equation
+  phi' = sqrt(lambda) - T sin(2 phi) / 2, to a fixed end b (Pruefer 1926;
+  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).
+  phi(b) is continuous and strictly increasing in lambda, and w'(b) = 0
+  exactly where phi(b) = pi/2 mod pi, so Neumann eigenvalues are roots
+  of phi(b) - pi/2 with no event, cap or blow-up guard.
+* solve_ivp locates the first interior zero of w' with an event and
+  keeps the dense trajectory, for the callers that read w itself:
+  d(a, T, lambda) is the distance from a to that zero and m = w(a + d)
+  the attained maximum.  On the tan branch this run stops a small gap
+  short of the right pole; a run with no w' zero by then has its maximum
+  at the pole (d = inf).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.integrate import ODEintWarning
+from scipy.integrate import odeint as _scipy_odeint
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.optimize import brentq
 
@@ -60,7 +70,7 @@ __all__ = [
     "riccati_residual",
     "weight_mu",
     "Shot",
-    "shoot",
+    "prufer_angle",
     "solve_ivp",
 ]
 
@@ -68,6 +78,13 @@ __all__ = [
 # integrator's own root find on the dense output (well below 1e-12).
 RTOL = 1e-10
 ATOL = 1e-10
+
+# Pruefer angle controls (LSODA rtol = atol; the angle is O(1)).  About
+# the smallest tolerance LSODA accepts; the global angle error stays
+# below 1e-12 (eigen._ANGLE_ERR).  LSODA's default 500 steps do not reach
+# an end next to the tan pole.
+ANGLE_TOL = 1e-13
+_ANGLE_MXSTEP = 20000
 
 # Distance (in units of 1/sqrt(Kbar)) kept between the integrator and the
 # tan-branch pole, where the drift blows up.
@@ -233,13 +250,6 @@ def weight_mu(params: ModelParams, t):
 #     w(s) = -1 + A s^2 + B s^4 + O(s^6),
 #     A = lambda / (2N),   B = -A (2 gamma (N-1) + lambda) / (4 (N+2)).
 
-def _series_coeffs(params: ModelParams, lam: float):
-    A = lam / (2.0 * params.dim)
-    gamma = -params.curv / 3.0
-    B = -A * (2.0 * gamma * (params.dim - 1.0) + lam) / (4.0 * (params.dim + 2.0))
-    return A, B
-
-
 def _series_eval(A: float, B: float, s):
     s = np.asarray(s, dtype=float)
     w = -1.0 + A * s * s + B * s ** 4
@@ -247,8 +257,73 @@ def _series_eval(A: float, B: float, s):
     return w, wp
 
 
+def _launch(params: ModelParams, lam: float, a: float):
+    """First integrated point (t0, (w, w'), series) of w(a) = -1, w'(a) = 0.
+
+    At a singular left end the series covers [a, a + h] with
+    h = 1e-3/sqrt(|Kbar|) and series is (a, h, A, B); elsewhere t0 = a and
+    series is None.
+    """
+    dom = params.domain()
+    if not (a == dom.lo and dom.lo_singular):
+        return a, (-1.0, 0.0), None
+    h = 1e-3 / params.scale
+    n, gamma = params.dim, -params.curv / 3.0
+    A = lam / (2.0 * n)
+    B = -A * (2.0 * gamma * (n - 1.0) + lam) / (4.0 * (n + 2.0))
+    w0, wp0 = _series_eval(A, B, h)
+    return a + h, (float(w0), float(wp0)), (a, h, A, B)
+
+
+def _drift(params: ModelParams):
+    """Scalar T(t) for the integrators' right-hand sides (no domain checks)."""
+    s = params.scale
+    c = (params.dim - 1.0) * s
+    br = params.branch
+    if br is Branch.TAN:
+        return lambda t: c * math.tan(s * t)
+    if br is Branch.TANH:
+        return lambda t: -c * math.tanh(s * t)
+    if br is Branch.COTH:
+        return lambda t: -c / math.tanh(s * t)
+    return lambda t: 0.0
+
+
 # ---------------------------------------------------------------------------
-# The shooting primitive: launch, cap, integrate, classify the first w' zero.
+# The scaled Pruefer angle to a fixed end.
+
+def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
+                 odd: bool = False) -> float:
+    """phi(b) for phi = atan2(sqrt(lam) w, w') of the solution launched at a.
+
+    The launch is w = -1, w' = 0 (phi = -pi/2, by the Frobenius series at
+    a singular left end), or w = 0, w' = 1 (phi = 0) when odd is set.
+    phi' = sqrt(lam) - T sin(2 phi) / 2 is integrated by LSODA up to b;
+    no step passes b, which may lie next to a pole.
+    """
+    k = math.sqrt(lam)
+    if odd:
+        t0, phi0 = a, 0.0
+    else:
+        t0, (w0, wp0), _ = _launch(params, lam, a)
+        phi0 = math.atan2(k * w0, wp0)
+    if not (t0 <= b):
+        raise DomainError(f"launch point {t0} beyond the end {b}")
+    T = _drift(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ODEintWarning)
+        try:
+            out = _scipy_odeint(
+                lambda t, y: k - 0.5 * T(t) * math.sin(2.0 * y[0]),
+                phi0, (t0, b), tfirst=True, tcrit=(b,),
+                rtol=ANGLE_TOL, atol=ANGLE_TOL, mxstep=_ANGLE_MXSTEP)
+        except ODEintWarning as exc:
+            raise IntegrationFailure(f"angle integration failed: {exc}")
+    return float(out[-1, 0])
+
+
+# ---------------------------------------------------------------------------
+# The event shot to the first w' zero, with its dense trajectory.
 
 @dataclass
 class Shot:
@@ -269,116 +344,6 @@ class Shot:
     t_start: float
     series: tuple | None = None
 
-
-def _make_rhs(params: ModelParams, lam: float):
-    s = params.scale
-    c = (params.dim - 1.0) * s
-    br = params.branch
-    if br is Branch.TAN:
-        return lambda t, y: (y[1], c * math.tan(s * t) * y[1] - lam * y[0])
-    if br is Branch.TANH:
-        return lambda t, y: (y[1], -c * math.tanh(s * t) * y[1] - lam * y[0])
-    if br is Branch.COTH:
-        return lambda t, y: (y[1], -c / math.tanh(s * t) * y[1] - lam * y[0])
-    return lambda t, y: (y[1], -lam * y[0])
-
-
-def shoot(params: ModelParams, lam: float, a: float, *, odd: bool = False,
-          reach: float | None = None, collapse: bool = False) -> Shot:
-    """Launch the model ODE at a and run it to its first w'-zero.
-
-    The start is w = -1, w' = 0, or w = 0, w' = 1 when odd is set; at a
-    singular left end the regular solution is launched by the Frobenius
-    series over 1e-3/sqrt(|Kbar|).  The run ends at the absolute position
-    reach (default a + 1e3, a + 50/sqrt(|Kbar|) below the essential
-    threshold, no limit on tan), and on tan _POLE_GAP/sqrt(Kbar) short of
-    the pole.  collapse stops the run once the state has decayed, as
-    solve_ivp's certificates need.
-    """
-    dom = params.domain()
-    if reach is None:
-        if params.branch is Branch.TAN:
-            reach = math.inf
-        elif lam <= params.essential_threshold:
-            reach = a + _CERT_WINDOW / params.scale
-        else:
-            reach = a + _DEFAULT_HORIZON
-    t_cap = reach
-    if params.branch is Branch.TAN:
-        t_cap = min(dom.hi - _POLE_GAP / params.scale, reach)
-
-    series = None
-    if odd:
-        t0, y0 = a, (0.0, 1.0)
-    elif a == dom.lo and dom.lo_singular:
-        h = 1e-3 / params.scale
-        A, B = _series_coeffs(params, lam)
-        w0, wp0 = _series_eval(A, B, h)
-        t0, y0 = a + h, (float(w0), float(wp0))
-        series = (a, h, A, B)
-    else:
-        t0, y0 = a, (-1.0, 0.0)
-    if t0 >= t_cap:
-        raise DomainError("start too close to the integration cap")
-
-    shot = _integrate_first_wprime_zero(params, lam, t0, y0, t_cap, collapse)
-    shot.series = series
-    return shot
-
-
-def _integrate_first_wprime_zero(params: ModelParams, lam: float,
-                                 t0: float, y0, t_cap: float,
-                                 collapse: bool) -> Shot:
-    """Integrate w'' = T w' - lam w from (t0, y0) until w' first crosses zero.
-
-    Otherwise the run stops at t_cap ("cap"), once |w'| passes the growth
-    guard, which stops hopeless runs into the tan pole's singular mode
-    early ("blow"), or with collapse set once the whole state has decayed
-    ("collapse").  Below the essential threshold collapse also tightens
-    atol to 1e-13, so the decay rate can be certified.
-    """
-    rhs = _make_rhs(params, lam)
-
-    def ev_wprime(t, y):
-        return y[1]
-    ev_wprime.terminal = True
-    ev_wprime.direction = -1
-
-    blow_cap = _BLOW_FACTOR * max(1.0, lam, abs(y0[1]))
-
-    def ev_blow(t, y):
-        return abs(y[1]) - blow_cap
-    ev_blow.terminal = True
-    ev_blow.direction = 1
-
-    events = [ev_wprime, ev_blow]
-    if collapse:
-        # whole state below 1e-9: pure decay, no turning point ahead
-        def ev_collapse(t, y):
-            return y[0] * y[0] + y[1] * y[1] - 1e-18
-        ev_collapse.terminal = True
-        ev_collapse.direction = -1
-        events.append(ev_collapse)
-
-    tight = collapse and lam <= params.essential_threshold
-    sol = _scipy_solve_ivp(rhs, (t0, t_cap), list(y0), method="DOP853",
-                           rtol=RTOL, atol=1e-13 if tight else ATOL,
-                           events=events,
-                           dense_output=True)
-    if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationFailure(f"integrator failed: {sol.message}")
-
-    for kind, t_ev, y_ev in zip(("event", "blow", "collapse"),
-                                sol.t_events, sol.y_events):
-        if t_ev.size:
-            return Shot(kind, float(t_ev[0]),
-                        (float(y_ev[0][0]), float(y_ev[0][1])), sol.sol, t0)
-    return Shot("cap", float(sol.t[-1]),
-                (float(sol.y[0, -1]), float(sol.y[1, -1])), sol.sol, t0)
-
-
-# ---------------------------------------------------------------------------
-# Public IVP driver and the solution object.
 
 @dataclass
 class ModelSolution:
@@ -453,8 +418,44 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     if not (dom.lo <= a < dom.hi):
         raise DomainError(f"start {a} outside domain [{dom.lo}, {dom.hi})")
 
-    shot = shoot(params, lambda_bar, a, collapse=True)
     subthreshold = lambda_bar <= params.essential_threshold
+    if params.branch is Branch.TAN:
+        t_cap = dom.hi - _POLE_GAP / params.scale
+    elif subthreshold:
+        t_cap = a + _CERT_WINDOW / params.scale
+    else:
+        t_cap = a + _DEFAULT_HORIZON
+    t0, y0, series = _launch(params, lambda_bar, a)
+    if t0 >= t_cap:
+        raise DomainError("start too close to the integration cap")
+
+    T = _drift(params)
+
+    def rhs(t, y):
+        return y[1], T(t) * y[1] - lambda_bar * y[0]
+
+    # first w' zero; |w'| past the growth guard, which stops hopeless
+    # runs into the tan pole's singular mode early; the whole state below
+    # 1e-9 (pure decay, no turning point ahead)
+    blow_cap = _BLOW_FACTOR * max(1.0, lambda_bar, abs(y0[1]))
+    events = [lambda t, y: y[1], lambda t, y: abs(y[1]) - blow_cap,
+              lambda t, y: y[0] * y[0] + y[1] * y[1] - 1e-18]
+    for ev, direction in zip(events, (-1, 1, -1)):
+        ev.terminal, ev.direction = True, direction
+    # below the threshold a tighter atol lets the decay rate be certified
+    sol = _scipy_solve_ivp(rhs, (t0, t_cap), list(y0), method="DOP853",
+                           rtol=RTOL, atol=1e-13 if subthreshold else ATOL,
+                           events=events, dense_output=True)
+    if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
+        raise IntegrationFailure(f"integrator failed: {sol.message}")
+    kind, t_end, y_end = "cap", sol.t[-1], sol.y[:, -1]
+    for name, t_ev, y_ev in zip(("event", "blow", "collapse"),
+                                sol.t_events, sol.y_events):
+        if t_ev.size:
+            kind, t_end, y_end = name, t_ev[0], y_ev[0]
+            break
+    shot = Shot(kind, float(t_end), (float(y_end[0]), float(y_end[1])),
+                sol.sol, t0, series)
 
     certificate = shot.kind
     d, b, m = math.inf, None, None

@@ -68,21 +68,13 @@ EXACT_N3_SYMMETRIC = {
     (1.0, 1.0): 10.938514313632894,
     (-4.0, 2.6): 0.18351081948894607,
     (-1.0, 6.0): 0.020246463331700822,
+    (-1.0, 20.0): 1.6489230203034684e-08,
     (-1.0, 30.0): 7.486098375111369e-13,
+    (-0.25, 63.25): 3.6852504294511487e-14,
 }
 
 
-_EVENT_LIMITED = pytest.mark.xfail(
-    strict=True, reason="the Neumann end is the integrator's located "
-    "w'-zero event, and its error exceeds 1e-10 relative in lambda here")
-
-
-@pytest.mark.parametrize("K,D", [
-    pytest.param(1.0, 1.0, marks=_EVENT_LIMITED),
-    pytest.param(-4.0, 2.6, marks=_EVENT_LIMITED),
-    pytest.param(-1.0, 6.0, marks=_EVENT_LIMITED),
-    (-1.0, 30.0),
-])
+@pytest.mark.parametrize("K,D", list(EXACT_N3_SYMMETRIC))
 def test_lambda1_meets_tolerance_or_raises(K, D):
     want = EXACT_N3_SYMMETRIC[(K, D)]
     try:
@@ -119,6 +111,20 @@ def _exact_n3_symmetric(K, D):
         return float(mp.findroot(flux, (lo, hi), solver="anderson"))
 
 
+@pytest.mark.parametrize("K", [-4.0, -1.0, -0.25, 0.25, 1.0, 2.0])
+def test_lambda1_n3_box_meets_tolerance_or_raises(K):
+    """No silent miss on 14 log-spaced D from 0.05 to the closing diameter
+    (less 1e-6 relative) or to |K| D^2 = 1e3."""
+    top = (math.pi / math.sqrt(K) * (1.0 - 1e-6) if K > 0
+           else math.sqrt(1e3 / abs(K)))
+    for D in np.geomspace(0.05, top, 14):
+        try:
+            got = lambda1_model(3, K, D)
+        except SpecgapError:
+            continue
+        assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 1e-10, D
+
+
 SWEEP_GRID = list(itertools.product(
     (3, 4, 5), (-1.0, -0.25, 0.0, 0.25, 1.0), (0.625, 1.25, 2.5)))
 
@@ -126,20 +132,20 @@ SWEEP_GRID = list(itertools.product(
 @pytest.mark.parametrize("K,D", [(K, D) for n, K, D in SWEEP_GRID if n == 3])
 def test_lambda1_matches_n3_closed_form_on_sweep_grid(K, D):
     got = lambda1_model(3, K, D)
-    assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 2e-9
+    assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 1e-10
 
 
 @pytest.fixture
 def ivp_solves(monkeypatch):
-    """Counts the integrations of the model ODE, one per shot."""
+    """Counts the integrations of the model ODE's Pruefer angle."""
     count = [0]
-    integrate = model._integrate_first_wprime_zero
+    integrate = model._scipy_odeint
 
     def counted(*args, **kwargs):
         count[0] += 1
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_integrate_first_wprime_zero", counted)
+    monkeypatch.setattr(model, "_scipy_odeint", counted)
     return count
 
 
@@ -153,29 +159,14 @@ def test_lambda1_solve_count(ivp_solves):
     assert max(per_call) <= 12, per_call
 
 
-def test_positive_curvature_sweep_shoots_no_blow(monkeypatch):
-    """The N Kbar floor brackets lambda_1 from below without probes that
-    run into the tan pole's singular mode."""
-    kinds = []
-    integrate = model._integrate_first_wprime_zero
-
-    def recorded(*args, **kwargs):
-        shot = integrate(*args, **kwargs)
-        kinds.append(shot.kind)
-        return shot
-
-    monkeypatch.setattr(model, "_integrate_first_wprime_zero", recorded)
-    for n, K, D in SWEEP_GRID:
-        if K > 0:
-            lambda1_model(n, K, D)
-    assert kinds and "blow" not in kinds, kinds
-
-
 @pytest.mark.parametrize("n,K", [(3, 1.0), (4, 0.5), (5, 2.0)])
 def test_closing_diameter_exact_without_integrating(n, K, ivp_solves):
     D = math.pi / math.sqrt(K)
     for closing in (D, D * (1.0 - 5e-13)):
         assert lambda1_model(n, K, closing) == n * K
+    p = ModelParams(float(n), K, Branch.TAN)
+    dom = p.domain()
+    assert neumann_eigenvalue_shooting(EigenQuery(p, dom.lo, dom.hi)) == n * K
     assert ivp_solves[0] == 0
 
 
@@ -268,7 +259,10 @@ def test_pole_launch_matches_n3_closed_form_tan(b):
                     + math.sin(k * L) * math.sin(b), 1.0 + 1e-3)
     p = ModelParams(3.0, 1.0, Branch.TAN)
     lam = neumann_eigenvalue_shooting(EigenQuery(p, -math.pi / 2, b))
-    assert lam == pytest.approx(k * k - 1.0, rel=1e-8)
+    assert lam == pytest.approx(k * k - 1.0, rel=1e-10)
+    # [-b, pi/2] ends at the right pole: the even weight mirrors it onto
+    # the left-pole launch above
+    assert neumann_eigenvalue_shooting(EigenQuery(p, -b, math.pi / 2)) == lam
 
 
 @pytest.mark.parametrize("b", [0.3, 0.8, 1.7, 3.0])
@@ -345,6 +339,13 @@ def test_symmetric_interval_length_inverts_lambda1():
         lam = lambda1_model(n, K, D)
         p = ModelParams(float(n), K, branch_for_curvature(K, "symmetric"))
         assert symmetric_interval_length(p, lam) == pytest.approx(D, rel=1e-8)
+
+
+def test_symmetric_interval_length_long_interval():
+    # lambda_bar = 1e-9 on (3, -1) needs theta D ~ 46; the length's
+    # eigenvalue amplifies its relative error about 46 times
+    D = symmetric_interval_length(ModelParams(3.0, -1.0, Branch.TANH), 1e-9)
+    assert abs(_exact_n3_symmetric(-1.0, D) / 1e-9 - 1.0) <= 1e-7
 
 
 def test_symmetric_interval_length_at_closing_eigenvalue():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from specgap.eigen import lambda1_model
 from specgap.errors import DomainError
 from specgap.harness import (
     catalog,
@@ -115,8 +116,9 @@ def test_chain_unperturbed_limit():
     rep = diameter_chain_check(3, -1.0, lam, 0.0)
     assert rep.ok
     assert rep.alpha_achieved == pytest.approx(1.0, abs=1e-4)
-    assert rep.C1 == pytest.approx(1.0, abs=1e-4)
-    assert rep.C2 == pytest.approx(1.0, abs=1e-4)
+    assert rep.alpha_achieved == pytest.approx(
+        lam / lambda1_model(3, -1.0, rep.target), rel=1e-12)
+    assert rep.target == pytest.approx(rep.d_bar, rel=1e-13)
 
 
 def test_chain_alpha_increases_toward_one():
@@ -129,13 +131,10 @@ def test_chain_alpha_increases_toward_one():
 
 
 def test_chain_identity():
-    # C1 C2 lambda_bar reproduces the model value at the target length
-    from specgap.eigen import lambda1_model
-
+    # alpha is lambda_1 over the (n, K) model value at the target length,
+    # which is d_bar shrunk by sqrt(1 + delta)
     lam = 8.93166014829082
     rep = diameter_chain_check(3, -1.0, lam, 0.1)
-    lam_target = lambda1_model(3, -1.0, rep.target)
-    assert rep.C1 * rep.C2 * rep.lambda_bar == pytest.approx(lam_target, rel=1e-8)
-    assert rep.target == pytest.approx(rep.d_bar / math.sqrt(1.1), rel=1e-13)
     assert rep.alpha_achieved == pytest.approx(
-        1.0 / ((1.0 + 2 * rep.delta) * rep.C1 * rep.C2), rel=1e-12)
+        lam / lambda1_model(3, -1.0, rep.target), rel=1e-12)
+    assert rep.target == pytest.approx(rep.d_bar / math.sqrt(1.1), rel=1e-13)

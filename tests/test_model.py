@@ -2,17 +2,20 @@
 Neumann shooting IVP, and the first-maximum search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specgap.errors import DomainError, HorizonReached
+from specgap import model
+from specgap.errors import DomainError, HorizonReached, IntegrationFailure
 from specgap.model import (
     Branch,
     ModelParams,
     branch_for_curvature,
     drift_eval,
+    prufer_angle,
     riccati_residual,
     solve_ivp,
     weight_mu,
@@ -143,6 +146,46 @@ def test_wprime_positive_before_first_zero():
     interior = np.linspace(sol.a + 1e-6, sol.b - 1e-6, 400)
     assert np.all(sol.wp_at(interior) > 0.0)
     assert sol.m > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
+
+@pytest.mark.parametrize("lam", [0.5, 4.0, 30.0])
+def test_prufer_angle_zero_branch_closed_form(lam):
+    # T = 0: phi' = sqrt(lam), from -pi/2 (regular) or 0 (odd)
+    root = math.sqrt(lam)
+    assert prufer_angle(ZERO3, lam, 0.25, 2.0) == pytest.approx(
+        -math.pi / 2 + root * 1.75, abs=1e-11)
+    assert prufer_angle(ZERO3, lam, 0.0, 1.3, odd=True) == pytest.approx(
+        root * 1.3, abs=1e-11)
+
+
+@pytest.mark.parametrize("params,lam,a", [
+    (TANH3, 3.0, -1.0),
+    (TAN3, 6.0, -math.pi / 2),   # Frobenius launch at the pole
+    (COTH3, 4.0, 0.0),           # Frobenius launch at the origin
+    (COTH3, 2.0, 0.7),
+])
+def test_prufer_angle_matches_trajectory(params, lam, a):
+    """The angle at t is the unwrapped atan2(sqrt(lam) w, w') of the event
+    shot's dense trajectory, up to its first maximum."""
+    sol = solve_ivp(params, lam, a)
+    t = np.linspace(a, sol.b, 25)[1:]
+    ref = np.unwrap(np.arctan2(math.sqrt(lam) * sol.w_at(t), sol.wp_at(t)))
+    got = [prufer_angle(params, lam, a, x) for x in t]
+    assert np.max(np.abs(got - ref)) < 1e-8
+    assert got[-1] == pytest.approx(math.pi / 2, abs=1e-8)
+
+
+def test_prufer_angle_failure_is_typed(monkeypatch):
+    # LSODA's failure report (here: too many steps) is an
+    # IntegrationFailure, and no ODEintWarning escapes
+    monkeypatch.setattr(model, "_ANGLE_MXSTEP", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationFailure):
+            prufer_angle(TANH3, 3.0, 0.0, 10.0, odd=True)
 
 
 # ---------------------------------------------------------------------------
