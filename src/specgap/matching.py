@@ -30,6 +30,7 @@ it is what transfers a maximum match into a minimum match.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,8 +162,8 @@ def _family_max(params: ModelParams, lambda_bar: float, a: float) -> float:
     return 0.0 if math.isinf(sol.d) else sol.m
 
 
-def _walk(params: ModelParams, lambda_bar: float, u_star: float,
-          near: float, probe, rising: bool) -> tuple[float, float]:
+def _walk(m, u_star: float, near: float, probe,
+          rising: bool) -> tuple[float, float]:
     """Probe a = probe(0), probe(1), ... until m(a) crosses u_star.
 
     RISING: m grows along the walk.  Returns the last probe short of the
@@ -170,18 +171,18 @@ def _walk(params: ModelParams, lambda_bar: float, u_star: float,
     """
     for k in range(64):
         a = probe(k)
-        if (_family_max(params, lambda_bar, a) > u_star) == rising:
+        if (m(a) > u_star) == rising:
             return near, a
         near = a
     raise BracketFailure("bracket walk exhausted its step budget")
 
 
-def _match_root(params: ModelParams, lambda_bar: float, u_star: float,
-                lo: float, hi: float, case: str) -> MatchResult:
+def _match_root(params: ModelParams, m, u_star: float, lo: float, hi: float,
+                case: str) -> MatchResult:
     """Brent root of m(a) = u_star for starts a in the bracket [lo, hi]."""
-    a_root = brentq(lambda a: _family_max(params, lambda_bar, a) - u_star,
-                    lo, hi, xtol=1e-13, rtol=8.9e-16)
-    attained = _family_max(params, lambda_bar, a_root)
+    a_root = brentq(lambda a: m(a) - u_star, lo, hi, xtol=1e-13,
+                    rtol=8.9e-16)
+    attained = m(a_root)
     return MatchResult(params, a_root, case, u_star, attained,
                        attained - u_star)
 
@@ -193,6 +194,7 @@ def match_maximum(params: ModelParams, lambda_bar: float,
     Settles the boundary cases (tan anchor, symmetric start, singular
     start, constant-drift band), then selects the drift family and a
     bracket inside it for a Brent root of the monotone map a -> m(a).
+    Each family's m is memoised for the call, so no start is solved twice.
     """
     if not (0.0 < u_star <= 1.0):
         raise DomainError(f"target maximum must lie in (0, 1], got {u_star}")
@@ -222,10 +224,12 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         return MatchResult(even, a, f"{prefix}-symmetric", u_star, 1.0,
                            1.0 - u_star)
 
+    m_pole = functools.cache(lambda a: _family_max(pole, lambda_bar, a))
+    m_even = functools.cache(lambda a: _family_max(even, lambda_bar, a))
     # the pole family turns, so its singular start bounds m from below
     turns = params.curv > 0 or lambda_bar > params.essential_threshold
     if turns:
-        lo_val = m_min(pole, lambda_bar)
+        lo_val = m_pole(pole.domain().lo)
         if u_star < lo_val * (1.0 - 1e-12) - 1e-15:
             raise TargetBelowMinimum(
                 f"target {u_star} below family minimum {lo_val}")
@@ -239,28 +243,26 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         if abs(u_star - m_const) <= max(1e-9, 1e-9 * m_const):
             # distant-start boundary: both families flatten at m_const
             a_big = 14.0 / (2.0 * s) * max(1.0, math.log(10.0))
-            attained = _family_max(even, lambda_bar, a_big)
+            attained = m_even(a_big)
             return MatchResult(even, a_big, "neg-constant", u_star,
                                attained, attained - u_star, boundary=True)
         if u_star < m_const:
             # coth family: m increases from m_min (a -> 0) to m_const
-            _, a_hi = _walk(pole, lambda_bar, u_star, 0.0,
-                            lambda k: 0.25 / s * 1.6 ** k, rising=True)
-            return _match_root(pole, lambda_bar, u_star, 0.0, a_hi,
+            a_lo, a_hi = _walk(m_pole, u_star, 0.0,
+                               lambda k: 0.25 / s * 1.6 ** k, rising=True)
+            return _match_root(pole, m_pole, u_star, a_lo, a_hi,
                                "neg-super-coth")
 
     a_sym = -0.5 * symmetric_interval_length(even, lambda_bar)
     if params.curv > 0:
-        return _match_root(pole, lambda_bar, u_star, pole.domain().lo, a_sym,
+        return _match_root(pole, m_pole, u_star, pole.domain().lo, a_sym,
                            "tan-interior")
     # tanh family: m decreases from 1 (symmetric start) toward m_const,
     # or below the threshold to 0 at the critical start and beyond
-    a_lo, a_hi = _walk(even, lambda_bar, u_star, a_sym,
+    a_lo, a_hi = _walk(m_even, u_star, a_sym,
                        lambda k: a_sym + 2.0 ** k * 0.25 / s, rising=False)
-    # below the threshold a_hi may sit on the m = 0 plateau, so Brent
-    # starts from the last probe that turned above the target
-    return _match_root(even, lambda_bar, u_star, a_sym if turns else a_lo,
-                       a_hi, "neg-super-tanh" if turns else "neg-sub")
+    return _match_root(even, m_even, u_star, a_lo, a_hi,
+                       "neg-super-tanh" if turns else "neg-sub")
 
 
 def r_epsilon(params: ModelParams, lambda_bar: float, a: float, eps: float,

@@ -34,11 +34,11 @@ of the domain (tan's left pole, coth's origin) use a Frobenius series.
   exactly where phi(b) = pi/2 mod pi, so Neumann eigenvalues are roots
   of phi(b) - pi/2 with no event, cap or blow-up guard.
 * solve_ivp locates the first interior zero of w' with an event and
-  keeps the dense trajectory, for the callers that read w itself:
-  d(a, T, lambda) is the distance from a to that zero and m = w(a + d)
-  the attained maximum.  On the tan branch this run stops a small gap
-  short of the right pole; a run with no w' zero by then has its maximum
-  at the pole (d = inf).
+  returns one record per shot, the ModelSolution, which keeps the dense
+  trajectory for the callers that read w itself: d(a, T, lambda) is the
+  distance from a to that zero and m = w(a + d) the attained maximum.
+  On the tan branch this run stops a small gap short of the right pole;
+  a run with no w' zero by then has its maximum at the pole (d = inf).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "drift_eval",
     "riccati_residual",
     "weight_mu",
-    "Shot",
     "prufer_angle",
     "solve_ivp",
 ]
@@ -189,16 +188,8 @@ def drift_eval(params: ModelParams, t):
     if np.any(arr <= dom.lo) or np.any(arr >= dom.hi):
         if not (dom.lo == -math.inf and dom.hi == math.inf):
             raise DomainError("drift evaluated at or beyond a domain endpoint")
-    s = params.scale
-    c = (params.dim - 1.0) * s
-    if params.branch is Branch.TAN:
-        out = c * np.tan(s * arr)
-    elif params.branch is Branch.TANH:
-        out = -c * np.tanh(s * arr)
-    elif params.branch is Branch.COTH:
-        out = -c / np.tanh(s * arr)
-    else:
-        out = np.zeros_like(arr)
+    # np.full broadcasts the zero branch's scalar 0.0 to the input's shape
+    out = np.full(arr.shape, _drift(params, np)(arr))
     return out if arr.ndim else float(out)
 
 
@@ -275,17 +266,18 @@ def _launch(params: ModelParams, lam: float, a: float):
     return a + h, (float(w0), float(wp0)), (a, h, A, B)
 
 
-def _drift(params: ModelParams):
-    """Scalar T(t) for the integrators' right-hand sides (no domain checks)."""
+def _drift(params: ModelParams, lib=math):
+    """T(t) with no domain checks: scalar through math (the integrators'
+    right-hand sides) or elementwise through lib = numpy."""
     s = params.scale
     c = (params.dim - 1.0) * s
     br = params.branch
     if br is Branch.TAN:
-        return lambda t: c * math.tan(s * t)
+        return lambda t: c * lib.tan(s * t)
     if br is Branch.TANH:
-        return lambda t: -c * math.tanh(s * t)
+        return lambda t: -c * lib.tanh(s * t)
     if br is Branch.COTH:
-        return lambda t: -c / math.tanh(s * t)
+        return lambda t: -c / lib.tanh(s * t)
     return lambda t: 0.0
 
 
@@ -326,35 +318,17 @@ def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
 # The event shot to the first w' zero, with its dense trajectory.
 
 @dataclass
-class Shot:
-    """One integration of the model ODE up to its first w'-zero.
-
-    kind is "event" (the integrator located the zero), "blow" (|w'|
-    passed the growth guard), "collapse" (the state decayed below 1e-9)
-    or "cap" (no zero before the cap).  t_end and y_end = (w, w') are
-    where the run stopped, the zero itself for an event.  t_start is the
-    first integrated point; series holds (a, h, A, B) when the run was
-    launched by the Frobenius series over [a, a + h = t_start].
-    """
-
-    kind: str
-    t_end: float
-    y_end: tuple
-    sol: object             # scipy OdeSolution (dense)
-    t_start: float
-    series: tuple | None = None
-
-
-@dataclass
 class ModelSolution:
-    """First-maximum data of the model IVP, with its dense trajectory.
+    """First-maximum data of one event shot, with its dense trajectory.
 
     d is the distance from the start a to the first interior zero of w'
     (math.inf when certified absent), b = a + d and m = w(b) in (0, inf);
     both are None when d is inf.  certificate records how the outcome was
     established: "event", "pole-regular", "pole-blowup" or
-    "subthreshold".  w_at, wp_at and w_inverse evaluate the trajectory,
-    through the series launch before its first integrated point.
+    "subthreshold".  w_at, wp_at and w_inverse evaluate the trajectory
+    _sol, which runs from the first integrated point _t_start to the end
+    of the run _t_end (the zero itself for an event); _series holds
+    (a, h, A, B) when the Frobenius series covers [a, a + h = _t_start].
     """
 
     params: ModelParams
@@ -364,17 +338,19 @@ class ModelSolution:
     b: float | None
     m: float | None
     certificate: str
-    _shot: Shot = field(repr=False)
+    _sol: object = field(repr=False)    # scipy OdeSolution (dense)
+    _t_start: float = field(repr=False)
+    _t_end: float = field(repr=False)
+    _series: tuple | None = field(repr=False)
 
     def _eval(self, t, deriv: bool):
         t = np.asarray(t, dtype=float)
-        shot = self._shot
         k = 1 if deriv else 0
-        out = shot.sol(np.clip(t, shot.t_start, shot.t_end))[k]
-        if shot.series is not None and (t < shot.t_start).any():
-            a0, _h, A, B = shot.series
+        out = self._sol(np.clip(t, self._t_start, self._t_end))[k]
+        if self._series is not None and (t < self._t_start).any():
+            a0, _h, A, B = self._series
             series = _series_eval(A, B, np.maximum(t - a0, 0.0))[k]
-            out = np.where(t < shot.t_start, series, out)
+            out = np.where(t < self._t_start, series, out)
         return out if t.ndim else float(out)
 
     def w_at(self, t):
@@ -390,7 +366,7 @@ class ModelSolution:
         and to the end of the integrated trajectory otherwise (w' never
         crossed zero there, so w is still monotone).
         """
-        top_t = self._shot.t_end
+        top_t = self._t_end
         top_w = self.m if math.isfinite(self.d) else self.w_at(top_t)
         if not (-1.0 <= y <= top_w):
             raise DomainError(f"value {y} outside the range [-1, {top_w}]")
@@ -448,48 +424,46 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
                            events=events, dense_output=True)
     if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"integrator failed: {sol.message}")
-    kind, t_end, y_end = "cap", sol.t[-1], sol.y[:, -1]
+    fired, t_end, y_end = "cap", sol.t[-1], sol.y[:, -1]
     for name, t_ev, y_ev in zip(("event", "blow", "collapse"),
                                 sol.t_events, sol.y_events):
         if t_ev.size:
-            kind, t_end, y_end = name, t_ev[0], y_ev[0]
+            fired, t_end, y_end = name, t_ev[0], y_ev[0]
             break
-    shot = Shot(kind, float(t_end), (float(y_end[0]), float(y_end[1])),
-                sol.sol, t0, series)
+    t_end, y_end = float(t_end), (float(y_end[0]), float(y_end[1]))
 
-    certificate = shot.kind
     d, b, m = math.inf, None, None
-    if shot.kind == "event":
-        d, b, m = shot.t_end - a, shot.t_end, shot.y_end[0]
-    elif shot.kind == "blow":
+    if fired == "event":
+        certificate, d, b, m = "event", t_end - a, t_end, y_end[0]
+    elif fired == "blow":
         if params.branch is not Branch.TAN:
             raise IntegrationFailure("solution exceeded the growth guard")
         certificate = "pole-blowup"
-    elif shot.kind == "collapse" and not subthreshold:
+    elif fired == "collapse" and not subthreshold:
         raise HorizonReached(
-            f"state decayed below 1e-9 at t = {shot.t_end:.6g} before w' "
-            "turned")
+            f"state decayed below 1e-9 at t = {t_end:.6g} before w' turned")
     elif params.branch is Branch.TAN:  # cap
         certificate = "pole-regular"
     elif subthreshold:  # cap / collapse
-        _certify_subthreshold(params, lambda_bar, shot)
+        _certify_subthreshold(params, lambda_bar, y_end, t_end - t0)
         certificate = "subthreshold"
     else:
         raise HorizonReached(
-            f"no w' zero within horizon ending at t = {shot.t_end:.6g}")
+            f"no w' zero within horizon ending at t = {t_end:.6g}")
 
-    return ModelSolution(params=params, lambda_bar=lambda_bar, a=a, d=d,
-                         b=b, m=m, certificate=certificate, _shot=shot)
+    return ModelSolution(params, lambda_bar, a, d, b, m, certificate,
+                         sol.sol, t0, t_end, series)
 
 
-def _certify_subthreshold(params: ModelParams, lam: float,
-                          shot: Shot) -> None:
+def _certify_subthreshold(params: ModelParams, lam: float, y_end: tuple,
+                          span: float) -> None:
     """Check the no-turning certificate below the essential threshold.
 
-    Requires w still negative at the end and the logarithmic derivative
-    settled near the slow decay root (-theta + sqrt(theta^2 - 4 lam))/2.
+    y_end = (w, w') is the end state of a run of length span.  Requires
+    w still negative there and the logarithmic derivative settled near
+    the slow decay root (-theta + sqrt(theta^2 - 4 lam))/2.
     """
-    w_end, wp_end = shot.y_end
+    w_end, wp_end = y_end
     if not (w_end < 0.0):
         raise HorizonReached("certificate failed: w crossed zero "
                              "without an interior maximum in the window")
@@ -498,7 +472,7 @@ def _certify_subthreshold(params: ModelParams, lam: float,
     root = 0.5 * (-theta + math.sqrt(disc))
     ratio = wp_end / w_end
     # the critical case approaches its double root only algebraically
-    tol = max(1e-6, 4.0 / max(shot.t_end - shot.t_start, 1.0))
+    tol = max(1e-6, 4.0 / max(span, 1.0))
     if abs(ratio - root) > tol * (1.0 + abs(root)):
         raise HorizonReached(
             f"certificate failed: w'/w = {ratio:.6g} not settled at "

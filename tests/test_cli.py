@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -64,6 +65,22 @@ def test_bound_formats_agree(runner):
             js["results"][key], rel=1e-12)
     table = runner.invoke(cli, args).output
     assert "model_lambda1" in table
+
+
+def test_bound_aubry_inputs(runner):
+    aubry = ["--aubry-p", "2", "--aubry-kbar", "0.05", "--aubry-C", "0.5"]
+    res = runner.invoke(cli, ["bound", "-n", "3", "-K", "1", "-D", "2",
+                              "--format", "json"] + aubry)
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["query"]["aubry_C"] == 0.5
+    # n K (1 - C k_bar) = 3 (1 - 0.025)
+    assert rec["results"]["aubry"] == pytest.approx(2.925, rel=1e-15)
+    assert rec["flags"]["aubry_le_model"]
+    for partial in (aubry[:2], aubry[2:]):
+        res = runner.invoke(cli, ["bound", "-n", "3", "-K", "1", "-D", "2"]
+                            + partial)
+        assert res.exit_code == 2, res.output
 
 
 def test_bound_table_is_default(runner):
@@ -306,12 +323,20 @@ def test_match_tol_sets_only_the_converged_flag(runner):
 
 
 def test_match_subthreshold_m_min_is_nan_string(runner):
-    res = runner.invoke(cli, ["match", "-N", "3", "-K", "-1", "-l", "0.9",
-                              "-u", "0.5", "--format", "json"])
+    args = ["match", "-N", "3", "-K", "-1", "-l", "0.9", "-u", "0.5"]
+    res = runner.invoke(cli, args + ["--format", "json"])
     assert res.exit_code == 0, res.output
     rec = json.loads(res.output)
     assert rec["results"]["m_min"] == "nan"
     assert rec["results"]["case"] == "neg-sub"
+    res = runner.invoke(cli, args + ["--format", "csv"])
+    assert res.exit_code == 0, res.output
+    row = next(csv.DictReader(io.StringIO(res.output)))
+    assert row["results.m_min"] == "nan"
+    assert row["results.case"] == "neg-sub"
+    res = runner.invoke(cli, args + ["--format", "table"])
+    assert res.exit_code == 0, res.output
+    assert re.search(r"results\.m_min\s+nan\b", res.output), res.output
 
 
 def test_jsolve_record(runner, profile):

@@ -164,6 +164,26 @@ def test_match_negative_subthreshold_small_target():
         assert res.residual == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("params, lam, u, case", [
+    (TAN3, 4.5, 0.75, "tan-interior"),
+    (COTH3, 3.0, 0.09, "neg-super-coth"),
+    (COTH3, 3.0, 0.5, "neg-super-tanh"),
+    (COTH3, 0.9, 0.05, "neg-sub"),
+])
+def test_match_solves_each_start_once(monkeypatch, params, lam, u, case):
+    # the walk's probes, Brent's bracket ends, the returned start and the
+    # singular-start minimum all share one solve per start
+    solve, starts = matching.model.solve_ivp, []
+
+    def counted(p, lam_bar, a):
+        starts.append((p, a))
+        return solve(p, lam_bar, a)
+
+    monkeypatch.setattr(matching.model, "solve_ivp", counted)
+    assert match_maximum(params, lam, u).case == case
+    assert len(starts) == len(set(starts)), starts
+
+
 def test_family_max_zero_only_below_threshold():
     # a tanh start far right of the critical position is certified never
     # to turn below the threshold and counts as m = 0; a tan start right
