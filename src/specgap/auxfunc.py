@@ -153,13 +153,16 @@ class CurvatureProfile:
     @classmethod
     def from_csv(cls, path, length: float, dim: int,
                  geometry: Geometry = Geometry.CIRCLE) -> "CurvatureProfile":
-        """Load 't,rho' rows; blank lines and '#' comments are skipped."""
+        """Load 't,rho' rows; blank lines and '#' comments are skipped.
+
+        A 't,rho' header may stand before the first data row.
+        """
         ts, vs = [], []
         with open(path, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (row[0].lstrip().startswith("#")):
                     continue
-                if lineno == 1 and [c.strip().lower() for c in row[:2]] == [
+                if not ts and [c.strip().lower() for c in row[:2]] == [
                         "t", "rho"]:
                     continue
                 if len(row) < 2:

@@ -48,6 +48,18 @@ def _validate_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
 
 
+def _flat_value(D: float) -> float:
+    """pi^2 / D^2; DomainError unless D > 0 and the value is finite."""
+    if not (D > 0):
+        raise DomainError(f"diameter must be positive, got {D}")
+    # D * D underflows to 0 below about 1e-162; pi^2 / (D * D) overflows
+    # a little above that
+    flat = _PI2 / (D * D) if D * D > 0.0 else math.inf
+    if flat == math.inf:
+        raise DomainError(f"diameter {D} too small: pi^2/D^2 overflows")
+    return flat
+
+
 def lichnerowicz(n: float, K: float) -> float:
     """n K, valid only under positive curvature."""
     _validate_n(n)
@@ -58,9 +70,7 @@ def lichnerowicz(n: float, K: float) -> float:
 
 def zhong_yang(D: float) -> float:
     """pi^2 / D^2."""
-    if not (D > 0):
-        raise DomainError(f"diameter must be positive, got {D}")
-    return _PI2 / (D * D)
+    return _flat_value(D)
 
 
 def shi_zhang_maximizer(n: float, K: float, D: float) -> tuple[float, bool]:
@@ -70,8 +80,7 @@ def shi_zhang_maximizer(n: float, K: float, D: float) -> tuple[float, bool]:
     supremum attained only at the returned closure endpoint.
     """
     _validate_n(n)
-    if not (D > 0):
-        raise DomainError(f"diameter must be positive, got {D}")
+    _flat_value(D)
     s_star = 0.5 + (n - 1.0) * K * D * D / (8.0 * _PI2)
     if s_star >= 1.0:
         return 1.0, True
@@ -88,12 +97,11 @@ def shi_zhang(n: float, K: float, D: float) -> float:
 def yang(n: float, K: float, D: float) -> float:
     """pi^2/D^2 damped by exp(-c_n D sqrt((n-1)|K|)) for nonpositive K."""
     _validate_n(n)
-    if not (D > 0):
-        raise DomainError(f"diameter must be positive, got {D}")
+    flat = _flat_value(D)
     if K > 0:
         raise DomainError(f"nonpositive curvature required, got K = {K}")
     c_n = max(2.0, n - 1.0)
-    return _PI2 / (D * D) * math.exp(-c_n * D * math.sqrt((n - 1.0) * abs(K)))
+    return flat * math.exp(-c_n * D * math.sqrt((n - 1.0) * abs(K)))
 
 
 def aubry(n: float, K: float, p: float, k_bar: float, C: float) -> float:

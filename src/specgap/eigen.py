@@ -65,6 +65,9 @@ class EigenQuery:
 
     def __post_init__(self):
         dom = self.params.domain()
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"interval ends must be finite, got "
+                              f"[{self.a}, {self.b}]")
         if not (self.a < self.b):
             raise DomainError(f"need a < b, got [{self.a}, {self.b}]")
         if self.a < dom.lo or self.b > dom.hi:
@@ -184,8 +187,9 @@ def symmetric_interval_length(params: ModelParams,
     """
     if params.branch is Branch.COTH:
         raise DomainError("coth branch admits no symmetric interval")
-    if not (lambda_bar > 0):
-        raise DomainError("lambda_bar must be positive")
+    if not (0 < lambda_bar < math.inf):
+        raise DomainError(f"lambda_bar must be positive and finite, got "
+                          f"{lambda_bar}")
 
     def f(t):
         return (model.prufer_angle(params, lambda_bar, 0.0, t, odd=True)

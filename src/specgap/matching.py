@@ -21,7 +21,8 @@ symmetric position.  The minimisation/matching facts used here:
   certifies d = inf); matching counts its maximum as m = 0, the limit of
   m at the critical start, so m stays continuous and non-increasing
   along the walk and a bracket may end past that position.  Any other
-  certified non-turning start (tan pole blow-up) raises CertifiedInfinite.
+  certified non-turning start (the "pole" certificate: no turn before
+  the tan pole) raises CertifiedInfinite.
 
 The reflection identity w_-(x) = -w(-x)/m maps the solution started at a
 to the one started at -b, exchanging the roles of minimum and maximum;

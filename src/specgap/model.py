@@ -22,29 +22,27 @@ Each T equals -mu'/mu for the weight mu = cos^{N-1}, cosh^{N-1},
 sinh^{N-1}, 1 respectively, so L_T is the radial part of the weighted
 Laplacian and (mu w')' = -lambda mu w in self-adjoint form.
 
-Two integrations start from the launch w(a) = -1, w'(a) = 0 (or the odd
-start w(a) = 0, w'(a) = 1 for eigenvalues); starts at a singular endpoint
-of the domain (tan's left pole, coth's origin) use a Frobenius series.
+Both integrations launch from w(a) = -1, w'(a) = 0 (or the odd start
+w(a) = 0, w'(a) = 1 for eigenvalues), by a Frobenius series at a singular
+endpoint (tan's left pole, coth's origin), and follow the scaled Pruefer
+angle phi = atan2(k w, w'), k = sqrt(lambda), with the bounded equation
+phi' = k - T sin(2 phi) / 2 (Pruefer 1926; Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993, ch. 5); w' = 0 where phi = pi/2 mod pi.
 
-* prufer_angle integrates the scaled Pruefer angle
-  phi = atan2(sqrt(lambda) w, w'), which obeys the bounded equation
-  phi' = sqrt(lambda) - T sin(2 phi) / 2, to a fixed end b (Pruefer 1926;
-  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).
-  phi(b) is continuous and strictly increasing in lambda, and w'(b) = 0
-  exactly where phi(b) = pi/2 mod pi, so Neumann eigenvalues are roots
-  of phi(b) - pi/2 with no event, cap or blow-up guard.
-* solve_ivp locates the first interior zero of w' with an event and
-  returns one record per shot, the ModelSolution, which keeps the dense
-  trajectory for the callers that read w itself: d(a, T, lambda) is the
-  distance from a to that zero and m = w(a + d) the attained maximum.
-  On the tan branch this run stops a small gap short of the right pole;
-  a run with no w' zero by then has its maximum at the pole (d = inf).
+* prufer_angle runs phi to a fixed end b; phi(b) increases strictly in
+  lambda, so Neumann eigenvalues are roots of phi(b) - pi/2.
+* solve_ivp adds the log-amplitude rho = ln(r / k), r^2 = k^2 w^2 + w'^2,
+  and stops at the first w' zero, phi = pi/2, a distance d(a, T, lambda)
+  from a, where m = e^rho.  On tan it stops just short of the right
+  pole; no zero by then puts the maximum at the pole (d = inf).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,11 +52,7 @@ from scipy.integrate import odeint as _scipy_odeint
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.optimize import brentq
 
-from .errors import (
-    DomainError,
-    HorizonReached,
-    IntegrationFailure,
-)
+from .errors import DomainError, HorizonReached, IntegrationFailure
 
 __all__ = [
     "Branch",
@@ -88,9 +82,6 @@ _ANGLE_MXSTEP = 20000
 # Distance (in units of 1/sqrt(Kbar)) kept between the integrator and the
 # tan-branch pole, where the drift blows up.
 _POLE_GAP = 1e-7
-
-# |w'| guard: beyond this the singular mode has certifiably taken over.
-_BLOW_FACTOR = 1e8
 
 # Horizon (absolute length) when no other cap applies.
 _DEFAULT_HORIZON = 1e3
@@ -196,9 +187,7 @@ def drift_eval(params: ModelParams, t):
 def riccati_residual(params: ModelParams, t):
     """T'(t) - T(t)^2/(N-1) - (N-1) Kbar, with T' evaluated analytically."""
     arr = np.asarray(t, dtype=float)
-    n1 = params.dim - 1.0
-    k = params.curv
-    s = params.scale
+    n1, k, s = params.dim - 1.0, params.curv, params.scale
     T = np.asarray(drift_eval(params, arr), dtype=float)
     if params.branch is Branch.TAN:
         dT = n1 * k * (1.0 + np.tan(s * arr) ** 2)
@@ -249,29 +238,33 @@ def _series_eval(A: float, B: float, s):
 
 
 def _launch(params: ModelParams, lam: float, a: float):
-    """First integrated point (t0, (w, w'), series) of w(a) = -1, w'(a) = 0.
-
-    At a singular left end the series covers [a, a + h] with
-    h = 1e-3/sqrt(|Kbar|) and series is (a, h, A, B); elsewhere t0 = a and
-    series is None.
-    """
+    """Pruefer state (t0, phi0, rho0, series) of w(a) = -1, w'(a) = 0 at
+    the first integrated point: t0 = a, or a + h at a singular left end,
+    where series = (a, h, A, B) covers [a, t0] (None elsewhere)."""
     dom = params.domain()
     if not (a == dom.lo and dom.lo_singular):
-        return a, (-1.0, 0.0), None
-    h = 1e-3 / params.scale
+        return a, -0.5 * math.pi, 0.0, None
+    # the truncated terms are O((|Kbar| h^2)^3, (lam h^2)^3): keep both
+    # |Kbar| h^2 <= 1e-6 and lam h^2 <= 9e-4
+    h = min(1e-3 / params.scale, 0.03 / math.sqrt(lam))
     n, gamma = params.dim, -params.curv / 3.0
     A = lam / (2.0 * n)
     B = -A * (2.0 * gamma * (n - 1.0) + lam) / (4.0 * (n + 2.0))
-    w0, wp0 = _series_eval(A, B, h)
-    return a + h, (float(w0), float(wp0)), (a, h, A, B)
+    with np.errstate(all="ignore"):  # B overflows at a huge lam
+        w0, wp0 = _series_eval(A, B, h)
+    if not (math.isfinite(w0) and math.isfinite(wp0)):
+        raise IntegrationFailure(f"Frobenius launch overflows at lambda {lam}")
+    k = math.sqrt(lam)
+    kw, wp0 = k * float(w0), float(wp0)
+    return (a + h, math.atan2(kw, wp0), math.log(math.hypot(kw, wp0) / k),
+            (a, h, A, B))
 
 
 def _drift(params: ModelParams, lib=math):
     """T(t) with no domain checks: scalar through math (the integrators'
     right-hand sides) or elementwise through lib = numpy."""
-    s = params.scale
+    s, br = params.scale, params.branch
     c = (params.dim - 1.0) * s
-    br = params.branch
     if br is Branch.TAN:
         return lambda t: c * lib.tan(s * t)
     if br is Branch.TANH:
@@ -297,38 +290,41 @@ def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
     if odd:
         t0, phi0 = a, 0.0
     else:
-        t0, (w0, wp0), _ = _launch(params, lam, a)
-        phi0 = math.atan2(k * w0, wp0)
+        t0, phi0, _, _ = _launch(params, lam, a)
     if not (t0 <= b):
         raise DomainError(f"launch point {t0} beyond the end {b}")
+    if t0 == b:
+        return phi0
     T = _drift(params)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", ODEintWarning)
-        try:
-            out = _scipy_odeint(
-                lambda t, y: k - 0.5 * T(t) * math.sin(2.0 * y[0]),
-                phi0, (t0, b), tfirst=True, tcrit=(b,),
-                rtol=ANGLE_TOL, atol=ANGLE_TOL, mxstep=_ANGLE_MXSTEP)
-        except ODEintWarning as exc:
-            raise IntegrationFailure(f"angle integration failed: {exc}")
+        warnings.simplefilter("ignore", ODEintWarning)  # read from info
+        out, info = _scipy_odeint(
+            lambda t, y: k - 0.5 * T(t) * math.sin(2.0 * y[0]),
+            phi0, (t0, b), tfirst=True, tcrit=(b,), rtol=ANGLE_TOL,
+            atol=ANGLE_TOL, mxstep=_ANGLE_MXSTEP, full_output=True)
+    # a failed run stops short of b, and at a huge lam LSODA may report
+    # success without leaving t0: demand the end
+    t_end = float(info["tcur"][-1])
+    if b - t_end > 1e-9 * (b - t0) or not math.isfinite(out[-1, 0]):
+        raise IntegrationFailure(f"angle integration stopped at t = "
+                                 f"{t_end!r} short of {b!r}: {info['message']}")
     return float(out[-1, 0])
 
 
 # ---------------------------------------------------------------------------
-# The event shot to the first w' zero, with its dense trajectory.
+# The event shot to the first w' zero.
 
 @dataclass
 class ModelSolution:
-    """First-maximum data of one event shot, with its dense trajectory.
+    """First-maximum data of one event shot.
 
     d is the distance from the start a to the first interior zero of w'
     (math.inf when certified absent), b = a + d and m = w(b) in (0, inf);
-    both are None when d is inf.  certificate records how the outcome was
-    established: "event", "pole-regular", "pole-blowup" or
-    "subthreshold".  w_at, wp_at and w_inverse evaluate the trajectory
-    _sol, which runs from the first integrated point _t_start to the end
-    of the run _t_end (the zero itself for an event); _series holds
-    (a, h, A, B) when the Frobenius series covers [a, a + h = _t_start].
+    both are None when d is inf.  certificate is "event" (the turn),
+    "pole" (tan: no turn before the pole) or "subthreshold".  w_at, wp_at
+    and w_inverse read the run's trajectory _sol, which the first read
+    builds: _shoot re-runs the shot with dense output, taking the same
+    steps.  Before _sol.t_min = a + h they read the series (a, h, A, B).
     """
 
     params: ModelParams
@@ -338,19 +334,23 @@ class ModelSolution:
     b: float | None
     m: float | None
     certificate: str
-    _sol: object = field(repr=False)    # scipy OdeSolution (dense)
-    _t_start: float = field(repr=False)
-    _t_end: float = field(repr=False)
     _series: tuple | None = field(repr=False)
+    _shoot: Callable = field(repr=False)
+
+    @functools.cached_property
+    def _sol(self):
+        return self._shoot(dense_output=True).sol
 
     def _eval(self, t, deriv: bool):
         t = np.asarray(t, dtype=float)
-        k = 1 if deriv else 0
-        out = self._sol(np.clip(t, self._t_start, self._t_end))[k]
-        if self._series is not None and (t < self._t_start).any():
+        t0, t1 = self._sol.t_min, self._sol.t_max
+        phi, rho = self._sol(np.clip(t, t0, t1))
+        out = np.exp(rho) * (math.sqrt(self.lambda_bar) * np.cos(phi)
+                             if deriv else np.sin(phi))
+        if self._series is not None and (t < t0).any():
             a0, _h, A, B = self._series
-            series = _series_eval(A, B, np.maximum(t - a0, 0.0))[k]
-            out = np.where(t < self._t_start, series, out)
+            series = _series_eval(A, B, np.maximum(t - a0, 0.0))[int(deriv)]
+            out = np.where(t < t0, series, out)
         return out if t.ndim else float(out)
 
     def w_at(self, t):
@@ -366,7 +366,7 @@ class ModelSolution:
         and to the end of the integrated trajectory otherwise (w' never
         crossed zero there, so w is still monotone).
         """
-        top_t = self._t_end
+        top_t = self._sol.t_max
         top_w = self.m if math.isfinite(self.d) else self.w_at(top_t)
         if not (-1.0 <= y <= top_w):
             raise DomainError(f"value {y} outside the range [-1, {top_w}]")
@@ -382,11 +382,14 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
               a: float) -> ModelSolution:
     """Solve the model IVP w(a) = -1, w'(a) = 0 and find the first maximum.
 
-    The run covers a length of 1e3, or the 50/sqrt(|Kbar|) certificate
-    window below the essential threshold, and on tan ends just short of
-    the pole.  Raises HorizonReached when it finds neither a w' zero nor a
-    certificate, and when above the threshold the state decays below
-    1e-9 first: a turn that far out is lost in rounding.
+    Integrates phi' = k - T sin(phi) cos(phi) and rho' = T cos(phi)^2 (see
+    the module docstring), so w = e^rho sin(phi), w' = k e^rho cos(phi)
+    keep their relative accuracy however far w grows or decays.  The one
+    terminal event is phi = pi/2, where m = e^rho.  The run covers 1e3,
+    or the 50/sqrt(|Kbar|) certificate window below the essential
+    threshold, and on tan ends just short of the pole.  Raises
+    HorizonReached with neither a w' zero nor a certificate, and
+    IntegrationFailure when m leaves the float range.
     """
     if not (lambda_bar > 0.0) or not math.isfinite(lambda_bar):
         raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
@@ -401,58 +404,54 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
         t_cap = a + _CERT_WINDOW / params.scale
     else:
         t_cap = a + _DEFAULT_HORIZON
-    t0, y0, series = _launch(params, lambda_bar, a)
+    t0, phi0, rho0, series = _launch(params, lambda_bar, a)
     if t0 >= t_cap:
         raise DomainError("start too close to the integration cap")
 
+    k = math.sqrt(lambda_bar)
     T = _drift(params)
 
     def rhs(t, y):
-        return y[1], T(t) * y[1] - lambda_bar * y[0]
+        phi = y[0]
+        Tt, c = T(t), math.cos(phi)
+        return k - Tt * math.sin(phi) * c, Tt * c * c
 
-    # first w' zero; |w'| past the growth guard, which stops hopeless
-    # runs into the tan pole's singular mode early; the whole state below
-    # 1e-9 (pure decay, no turning point ahead)
-    blow_cap = _BLOW_FACTOR * max(1.0, lambda_bar, abs(y0[1]))
-    events = [lambda t, y: y[1], lambda t, y: abs(y[1]) - blow_cap,
-              lambda t, y: y[0] * y[0] + y[1] * y[1] - 1e-18]
-    for ev, direction in zip(events, (-1, 1, -1)):
-        ev.terminal, ev.direction = True, direction
-    # below the threshold a tighter atol lets the decay rate be certified
-    sol = _scipy_solve_ivp(rhs, (t0, t_cap), list(y0), method="DOP853",
-                           rtol=RTOL, atol=1e-13 if subthreshold else ATOL,
-                           events=events, dense_output=True)
+    def turn(t, y):
+        return y[0] - 0.5 * math.pi
+    turn.terminal, turn.direction = True, 1
+
+    def shoot(dense_output=False):
+        with np.errstate(over="raise", invalid="raise"):
+            return _scipy_solve_ivp(rhs, (t0, t_cap), [phi0, rho0],
+                                    method="DOP853", rtol=RTOL, atol=ATOL,
+                                    events=turn, dense_output=dense_output)
+
+    try:
+        sol = shoot()
+    except FloatingPointError as exc:
+        raise IntegrationFailure(f"integrator overflow: {exc}") from exc
     if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(f"integrator failed: {sol.message}")
-    fired, t_end, y_end = "cap", sol.t[-1], sol.y[:, -1]
-    for name, t_ev, y_ev in zip(("event", "blow", "collapse"),
-                                sol.t_events, sol.y_events):
-        if t_ev.size:
-            fired, t_end, y_end = name, t_ev[0], y_ev[0]
-            break
-    t_end, y_end = float(t_end), (float(y_end[0]), float(y_end[1]))
+    if sol.t_events[0].size:
+        t_end, rho = float(sol.t_events[0][0]), sol.y_events[0][0][1]
+        if not (-708.0 < rho < 709.0):  # m = e^rho a normal float
+            raise IntegrationFailure(f"maximum e^{rho:.6g} out of range")
+        return ModelSolution(params, lambda_bar, a, t_end - a, t_end,
+                             math.exp(rho), "event", series, shoot)
 
-    d, b, m = math.inf, None, None
-    if fired == "event":
-        certificate, d, b, m = "event", t_end - a, t_end, y_end[0]
-    elif fired == "blow":
-        if params.branch is not Branch.TAN:
-            raise IntegrationFailure("solution exceeded the growth guard")
-        certificate = "pole-blowup"
-    elif fired == "collapse" and not subthreshold:
-        raise HorizonReached(
-            f"state decayed below 1e-9 at t = {t_end:.6g} before w' turned")
-    elif params.branch is Branch.TAN:  # cap
-        certificate = "pole-regular"
-    elif subthreshold:  # cap / collapse
-        _certify_subthreshold(params, lambda_bar, y_end, t_end - t0)
+    t_end, phi = float(sol.t[-1]), sol.y[0, -1]
+    if params.branch is Branch.TAN:
+        certificate = "pole"
+    elif subthreshold:
+        # the certificate reads only w's sign and w'/w: drop the e^rho
+        _certify_subthreshold(params, lambda_bar,
+                              (math.sin(phi), k * math.cos(phi)), t_end - t0)
         certificate = "subthreshold"
     else:
         raise HorizonReached(
             f"no w' zero within horizon ending at t = {t_end:.6g}")
-
-    return ModelSolution(params, lambda_bar, a, d, b, m, certificate,
-                         sol.sol, t0, t_end, series)
+    return ModelSolution(params, lambda_bar, a, math.inf, None, None,
+                         certificate, series, shoot)
 
 
 def _certify_subthreshold(params: ModelParams, lam: float, y_end: tuple,

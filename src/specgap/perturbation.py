@@ -26,6 +26,7 @@ J = 1-delta when K >= 0 and J = 1+delta when K < 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ def _validate_n_delta(n: float, delta: float) -> None:
 
 def choose_lambda_bar(lambda1: float, delta: float) -> float:
     """Enlarged eigenvalue (1 + 2 delta) lambda_1 used by the comparison."""
-    if not (lambda1 > 0):
-        raise DomainError(f"lambda_1 must be positive, got {lambda1}")
+    if not (0 < lambda1 < math.inf):
+        raise DomainError(f"lambda_1 must be positive and finite, got "
+                          f"{lambda1}")
     if not (0.0 <= delta < 0.5):
         raise DomainError(f"delta must lie in [0, 0.5), got {delta}")
     return (1.0 + 2.0 * delta) * lambda1
@@ -134,8 +136,11 @@ def choose_K_bar(n: float, delta: float, K: float, sigma: float = 0.0,
     additionally enforces Kbar <= n K (1 - C eps) / N.
     """
     _validate_n_delta(n, delta)
-    if sigma < 0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    if not math.isfinite(K):
+        raise DomainError(f"curvature must be finite, got {K}")
+    if not (0 <= sigma < math.inf):
+        raise DomainError(f"sigma must be nonnegative and finite, got "
+                          f"{sigma}")
     if N is None:
         N = choose_N(n, delta)
     if not (N > 1):

@@ -85,6 +85,23 @@ def test_from_csv(tmp_path):
     assert prof.sample(0.5) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("preamble", ["# written by hand\n", "\n",
+                                      "# a\n\n# b\n"])
+def test_from_csv_header_after_comments(tmp_path, preamble):
+    f = tmp_path / "prof.csv"
+    f.write_text(preamble + "t,rho\n0.0,2.0\n0.5,1.5\n1.0,2.0\n")
+    prof = CurvatureProfile.from_csv(f, length=2.0, dim=3)
+    assert prof.sample(0.5) == pytest.approx(1.5)
+
+
+def test_from_csv_header_after_data_rejected(tmp_path):
+    f = tmp_path / "prof.csv"
+    f.write_text("0.0,2.0\nt,rho\n1.0,2.0\n")
+    with pytest.raises(ProfileFormatError) as exc:
+        CurvatureProfile.from_csv(f, length=2.0, dim=3)
+    assert ":2:" in str(exc.value)
+
+
 def test_from_csv_malformed_reports_line(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("0.0,1.0\n0.5,not-a-number\n")

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from specgap.cli import cli
+from test_model import n3_first_maximum
 
 
 @pytest.fixture
@@ -107,12 +108,30 @@ def test_domain_error_exit_2(runner):
 
 
 def test_numerical_error_exit_3(runner):
-    # a target twelve decades down cannot be resolved before the decay
-    # collapse guard fires, so the run ends with a numerical failure
-    res = runner.invoke(cli, ["match", "-N", "3", "-K", "-1",
-                              "-l", "1.0", "-u", "1e-12"])
+    # theta D = 60: the Pruefer angle cannot certify lambda1 ~ 7.5e-13
+    # to the default tolerance, so the run ends with a numerical failure
+    res = runner.invoke(cli, ["bound", "-n", "3", "-K", "-1", "-D", "30"])
     assert res.exit_code == 3
-    assert "certificate" in res.output.lower()
+    assert "certified" in res.output.lower()
+
+
+def test_match_target_twelve_decades_down(runner):
+    # the first-maximum shot keeps m's relative accuracy, so a target of
+    # 1e-12 is matched, and m at the returned start meets the closed form
+    res = runner.invoke(cli, ["match", "-N", "3", "-K", "-1", "-l", "1.0",
+                              "-u", "1e-12", "--format", "json"])
+    rec = _json_without_timings(res)
+    _, m = n3_first_maximum("tanh", -1.0, 1.0, rec["results"]["a"])
+    assert rec["results"]["attained"] == pytest.approx(m, rel=1e-8)
+    assert rec["results"]["attained"] == pytest.approx(1e-12, rel=1e-12)
+
+
+def test_diameter_too_small_exit_2(runner):
+    # pi^2/D^2 overflows (D * D underflows to 0 at 1e-200)
+    for D in ("1e-200", "1e-160"):
+        res = runner.invoke(cli, ["bound", "-n", "3", "-K", "1", "-D", D])
+        assert res.exit_code == 2, res.output
+        assert "too small" in res.output
 
 
 def test_infeasible_delta_exit_2(runner):

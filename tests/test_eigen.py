@@ -248,7 +248,7 @@ def _first_root(f, k0, step=0.01):
     return brentq(f, k, k + step, xtol=1e-15, rtol=8.9e-16)
 
 
-@pytest.mark.parametrize("b", [-1.2, 0.0, 0.7, 1.3])
+@pytest.mark.parametrize("b", [-math.pi / 2 + 0.01, -1.2, 0.0, 0.7, 1.3])
 def test_pole_launch_matches_n3_closed_form_tan(b):
     """On [-pi/2, b] with N = 3, K = 1, w = u / cos t turns the ODE into
     u'' + k^2 u = 0 with lambda = k^2 - 1 and u(-pi/2) = 0, so the

@@ -4,11 +4,13 @@ Neumann shooting IVP, and the first-maximum search."""
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specgap import model
+from specgap.eigen import symmetric_interval_length
 from specgap.errors import DomainError, HorizonReached, IntegrationFailure
 from specgap.model import (
     Branch,
@@ -188,6 +190,15 @@ def test_prufer_angle_failure_is_typed(monkeypatch):
             prufer_angle(TANH3, 3.0, 0.0, 10.0, odd=True)
 
 
+def test_prufer_angle_that_never_moves_is_typed():
+    # at lam = 1e300 LSODA reports success after one step that never
+    # leaves the launch, which would read as the launch angle
+    with pytest.raises(IntegrationFailure, match="short of"):
+        prufer_angle(TAN3, 1e300, 0.0, 1.0, odd=True)
+    with pytest.raises(IntegrationFailure):
+        symmetric_interval_length(TAN3, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # distance-to-first-maximum behavior
 
@@ -208,7 +219,7 @@ def test_tan_low_lambda_has_no_interior_maximum():
     # below the closing eigenvalue N*Kbar the maximum escapes to the pole
     sol = solve_ivp(TAN3, 2.0, -1.2)
     assert sol.d == math.inf
-    assert sol.certificate in ("pole-regular", "pole-blowup")
+    assert sol.certificate == "pole"
 
 
 def test_subthreshold_certificate():
@@ -227,14 +238,76 @@ def test_subthreshold_tanh_from_far_left_still_turns():
     assert sol.m == pytest.approx(4.637165057360913, rel=1e-7)
 
 
+def n3_first_maximum(branch, K, lam, a, step=0.25):
+    """(b, m): the first maximum of the N = 3 model, from its closed form.
+
+    With mu = g^2, u = g w solves u'' + (lam + K) u = 0 from u(a) = -g(a),
+    u'(a) = -g'(a), and w' = 0 where G = g u' - g' u vanishes; G > 0 right
+    after the start, so the turn is G's first zero.  mpmath, 40 digits.
+    """
+    with mp.workdps(40):
+        s = mp.sqrt(abs(mp.mpf(K)))
+        z, a = mp.mpf(lam) + K, mp.mpf(a)
+        k = mp.sqrt(mp.mpc(z))
+
+        def g(t):
+            return {"tan": (mp.cos(s * t), -s * mp.sin(s * t)),
+                    "tanh": (mp.cosh(s * t), s * mp.sinh(s * t)),
+                    "coth": (mp.sinh(s * t), s * mp.cosh(s * t))}[branch]
+
+        g0, dg0 = g(a)
+
+        def u(t):
+            c, sn = mp.cos(k * (t - a)), (t - a) * mp.sinc(k * (t - a))
+            return mp.re(-g0 * c - dg0 * sn), mp.re(g0 * z * sn - dg0 * c)
+
+        def G(t):
+            (gt, dgt), (ut, dut) = g(t), u(t)
+            return gt * dut - dgt * ut
+
+        t = a + step
+        while G(t) > 0:
+            t += step
+        b = mp.findroot(G, (t - step, t), solver="anderson", verify=False)
+        return float(b), float(u(b)[0] / g(b)[0])
+
+
+@pytest.mark.parametrize("params,lam,a", [
+    (COTH3, 1.05, 0.0), (COTH3, 1.05, 0.1), (TANH3, 1.05, 6.0)])
+def test_small_maximum_matches_n3_closed_form(params, lam, a):
+    # m ~ 6e-7 here: the angle and log-amplitude keep its relative
+    # accuracy, where an absolute error control on (w, w') loses it
+    b, m = n3_first_maximum(params.branch.value, params.curv, lam, a)
+    sol = solve_ivp(params, lam, a)
+    assert sol.certificate == "event"
+    assert sol.b == pytest.approx(b, rel=1e-9)
+    assert sol.m == pytest.approx(m, rel=1e-8)
+
+
+@pytest.mark.parametrize("params,lam,step", [
+    (ModelParams(3.0, 1e-6, Branch.TAN), 1.0, 0.25),
+    (TAN3, 1e6, 1e-4)])
+def test_pole_launch_at_large_lam_over_curvature(params, lam, step):
+    # the Frobenius series must stay short against 1/sqrt(lam) as well as
+    # 1/sqrt(Kbar): a launch 1e-3/sqrt(Kbar) out puts m 6.7e-4 off here
+    a = params.domain().lo
+    b, m = n3_first_maximum("tan", params.curv, lam, a, step)
+    sol = solve_ivp(params, lam, a)
+    assert sol.b == pytest.approx(b, rel=1e-9)
+    assert sol.m == pytest.approx(m, rel=1e-9)
+
+
 def test_horizon_reached_raises():
-    # just above theta^2/4 = 1 the turn lies near pi/omega ~ 99 or more,
-    # far past where the decaying state sinks into the integrator's
-    # rounding; a w' zero fired by that noise must not be reported
+    # just above theta^2/4 = 1 the turn lies near pi/omega, omega =
+    # sqrt(lam - 1): past the horizon of 1e3 at lam = 1 + 1e-12, inside
+    # it at lam = 1.001, where m ~ 1e-43 keeps its relative accuracy
     for params, a in ((TANH3, 5.0), (TANH3, 0.0), (COTH3, 1.0), (COTH3, 0.0)):
-        for lam in (1.0 + 1e-12, 1.001):
-            with pytest.raises(HorizonReached, match="decayed"):
-                solve_ivp(params, lam, a)
+        with pytest.raises(HorizonReached, match="horizon"):
+            solve_ivp(params, 1.0 + 1e-12, a)
+        b, m = n3_first_maximum(params.branch.value, params.curv, 1.001, a)
+        sol = solve_ivp(params, 1.001, a)
+        assert sol.d == pytest.approx(b - a, rel=1e-9)
+        assert sol.m == pytest.approx(m, rel=1e-7)
 
 
 def test_turn_above_decay_floor_still_reported():
