@@ -1,8 +1,9 @@
 """Sharp spectral-gap lower bounds through a one-dimensional model.
 
-The model eigenvalue lambda_1(n, K, D), computed by shooting for the
-first Neumann eigenvalue of  w'' - T w' + lambda w  on an interval of
-length D with the curvature-matched drift T, dominates the classical
+The model eigenvalue lambda_1(n, K, D), the first Neumann eigenvalue of
+w'' - T w' + lambda w  on an interval of length D with the
+curvature-matched drift T (computed by power iteration on the Green
+operator of its odd half problem), dominates the classical
 Lichnerowicz, Zhong-Yang, Shi-Zhang, and Yang bounds and is attained by
 round spheres.  Supporting machinery: perturbed parameter selection,
 maximum matching within the drift family, auxiliary multipliers built

@@ -40,10 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
-# unused here: bench/spans.py wraps both names to time eigensolves, until
-# the program owns its counters (ROADMAP item 1)
-from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 
 from .errors import (DomainError, MeshTooCoarse, NonPositiveEigenfunction,
                      NumericalError, ProfileFormatError)
@@ -61,6 +57,23 @@ __all__ = [
     "j_equation_residual",
     "check_lemma_J",
 ]
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on the first call (scipy is not
+    loaded with the package); tests and the benchmark tracer replace it."""
+    from scipy.linalg import solve_banded
+    return solve_banded(*args, **kwargs)
+
+
+def __getattr__(name):
+    # eigh and eigh_tridiagonal are unused here: bench/spans.py wraps both
+    # to time eigensolves, until the program owns its counters (ROADMAP
+    # item 2); they load scipy.linalg only when looked up
+    if name in ("eigh", "eigh_tridiagonal"):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Geometry(str, enum.Enum):

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import model
 from .eigen import symmetric_interval_length
@@ -181,6 +180,8 @@ def _walk(m, u_star: float, near: float, probe,
 def _match_root(params: ModelParams, m, u_star: float, lo: float, hi: float,
                 case: str) -> MatchResult:
     """Brent root of m(a) = u_star for starts a in the bracket [lo, hi]."""
+    from scipy.optimize import brentq
+
     a_root = brentq(lambda a: m(a) - u_star, lo, hi, xtol=1e-13,
                     rtol=8.9e-16)
     attained = m(a_root)

@@ -47,10 +47,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import ODEintWarning
-from scipy.integrate import odeint as _scipy_odeint
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DomainError, HorizonReached, IntegrationFailure
 
@@ -88,6 +84,19 @@ _DEFAULT_HORIZON = 1e3
 
 # Sub-threshold certificate window, in units of 1/sqrt(|Kbar|).
 _CERT_WINDOW = 50.0
+
+
+def _scipy_odeint(*args, **kwargs):
+    """scipy.integrate.odeint, imported on the first call (scipy is not
+    loaded with the package); tests and the benchmark tracer replace it."""
+    from scipy.integrate import odeint
+    return odeint(*args, **kwargs)
+
+
+def _scipy_solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 class Branch(str, Enum):
@@ -295,6 +304,8 @@ def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
         raise DomainError(f"launch point {t0} beyond the end {b}")
     if t0 == b:
         return phi0
+    from scipy.integrate import ODEintWarning
+
     T = _drift(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)  # read from info
@@ -374,6 +385,7 @@ class ModelSolution:
             return self.a
         if y >= self.w_at(top_t):
             return top_t
+        from scipy.optimize import brentq
         return brentq(lambda t: self.w_at(t) - y, self.a, top_t,
                       xtol=1e-14, rtol=8.9e-16)
 

@@ -5,11 +5,15 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import specgap
 from specgap.cli import cli
 from test_model import n3_first_maximum
 
@@ -108,11 +112,38 @@ def test_domain_error_exit_2(runner):
 
 
 def test_numerical_error_exit_3(runner):
-    # theta D = 60: the Pruefer angle cannot certify lambda1 ~ 7.5e-13
-    # to the default tolerance, so the run ends with a numerical failure
-    res = runner.invoke(cli, ["bound", "-n", "3", "-K", "-1", "-D", "30"])
+    # n = 1.5 within 1e-6 of the closing diameter: cos^(1/2) is not smooth
+    # at the pole, the Romberg extrapolants do not settle by the mesh cap,
+    # so the run ends with a numerical failure
+    D = repr(math.pi * (1.0 - 1e-6))
+    res = runner.invoke(cli, ["bound", "-n", "1.5", "-K", "1", "-D", D])
     assert res.exit_code == 3
     assert "certified" in res.output.lower()
+
+
+_NO_SCIPY_RUN = """
+import sys
+from specgap.cli import cli
+for argv in (["sweep", sys.argv[1]],
+             ["bound", "-n", "3", "-K", "-1", "-D", "2.5"]):
+    cli.main(argv, standalone_mode=False)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_sweep_and_bound_load_no_scipy(tmp_path):
+    # a fresh interpreter: the 45-point sweep grid and one bound report
+    grid = tmp_path / "grid.txt"
+    grid.write_text("n = 3 4 5\nK = -1 -0.25 0 0.25 1\nD = 0.625 1.25 2.5\n")
+    src = os.path.dirname(os.path.dirname(specgap.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(grid)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("\n") >= 45 + 1 + 4
 
 
 def test_match_target_twelve_decades_down(runner):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from specgap import model
-from specgap.errors import DomainError, MeshTooCoarse, SpecgapError
+from specgap import eigen, model
+from specgap.errors import (DomainError, MeshTooCoarse, NumericalError,
+                            SpecgapError)
 from specgap.eigen import (
     EigenQuery,
     fd_oracle_eigenvalue,
@@ -135,39 +136,91 @@ def test_lambda1_matches_n3_closed_form_on_sweep_grid(K, D):
     assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 1e-10
 
 
+# theta D of 60, 80 and 90, where the Pruefer root cannot certify
+# lambda1: the n = 3 closed form at 80 digits, and for n = 10 the flux
+# form w' = 1/mu - lam G, G' = w - (mu'/mu) G (G = int_0^t mu w / mu),
+# w(0) = G(0) = 0, root of lam G(D/2) mu(D/2) = 1, integrated by mpmath's
+# Taylor method at 25 digits (a bidiagonal finite-volume oracle gave
+# 3.069408432e-16 too)
+LARGE_THETA_D = {
+    (3, -1.0, 30.0): 7.486098375111369e-13,
+    (3, -4.0, 20.0): 1.359473361693309e-16,
+    (10, -1.0, 10.0): 3.0694084317933063e-16,
+}
+
+
+@pytest.mark.parametrize("n,K,D", list(LARGE_THETA_D))
+def test_lambda1_large_theta_d(n, K, D):
+    want = LARGE_THETA_D[(n, K, D)]
+    assert abs(lambda1_model(n, K, D) / want - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("D", [711.0, 800.0])
+def test_lambda1_below_float_range_is_typed(D):
+    # theta D / 2 near 709: lambda1 falls below the normal floats (D = 711)
+    # and then the weight ratios overflow (D = 800)
+    with pytest.raises(NumericalError):
+        lambda1_model(3, -1.0, D)
+
+
 @pytest.fixture
-def ivp_solves(monkeypatch):
-    """Counts the integrations of the model ODE's Pruefer angle."""
+def integrator_calls(monkeypatch):
+    """Counts the calls of both model-ODE integrators (the Pruefer angle's
+    and the event shot's)."""
     count = [0]
-    integrate = model._scipy_odeint
+    for name in ("_scipy_odeint", "_scipy_solve_ivp"):
+        def counted(*args, _integrate=getattr(model, name), **kwargs):
+            count[0] += 1
+            return _integrate(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(model, "_scipy_odeint", counted)
+        monkeypatch.setattr(model, name, counted)
     return count
 
 
-def test_lambda1_solve_count(ivp_solves):
+@pytest.fixture
+def green_applications(monkeypatch):
+    """Counts the applications of the symmetric path's Green operator."""
+    count = [0]
+    apply = eigen._green_apply
+
+    def counted(*args):
+        count[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(eigen, "_green_apply", counted)
+    return count
+
+
+def test_lambda1_solve_count(integrator_calls, green_applications):
+    """The sweep grid integrates nothing and its operator applications
+    stay bounded; the points 1e-6 short of the closing diameter (40 to 44
+    angle solves against 9 elsewhere on the shooting root) meet the same
+    bound.  Today: median 25, at most 40 on the grid, 39 at closing."""
     per_call = []
     for n, K, D in SWEEP_GRID:
-        ivp_solves[0] = 0
+        green_applications[0] = 0
         lambda1_model(n, K, D)
-        per_call.append(ivp_solves[0])
-    assert statistics.median(per_call) <= 10, per_call
-    assert max(per_call) <= 12, per_call
+        per_call.append(green_applications[0])
+    assert integrator_calls[0] == 0
+    assert statistics.median(per_call) <= 30, per_call
+    assert max(per_call) <= 48, per_call
+    for K in (0.25, 1.0, 2.0):
+        green_applications[0] = 0
+        lambda1_model(3, K, math.pi / math.sqrt(K) * (1.0 - 1e-6))
+        assert green_applications[0] <= 48, K
+    assert integrator_calls[0] == 0
 
 
 @pytest.mark.parametrize("n,K", [(3, 1.0), (4, 0.5), (5, 2.0)])
-def test_closing_diameter_exact_without_integrating(n, K, ivp_solves):
+def test_closing_diameter_exact_without_integrating(n, K, integrator_calls,
+                                                    green_applications):
     D = math.pi / math.sqrt(K)
     for closing in (D, D * (1.0 - 5e-13)):
         assert lambda1_model(n, K, closing) == n * K
     p = ModelParams(float(n), K, Branch.TAN)
     dom = p.domain()
     assert neumann_eigenvalue_shooting(EigenQuery(p, dom.lo, dom.hi)) == n * K
-    assert ivp_solves[0] == 0
+    assert integrator_calls[0] == green_applications[0] == 0
 
 
 def test_bad_inputs_rejected():
