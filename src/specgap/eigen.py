@@ -145,7 +145,7 @@ def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
     """Brent root in k = sqrt(lam) of the Pruefer angle at b less pi/2,
     launched at a, for any interval (docs/domain_map.py also runs it on
     symmetric ones)."""
-    from scipy.optimize import brentq
+    from ._ode import brentq
 
     L = b - a
 
@@ -177,12 +177,8 @@ def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
         raise BracketFailure("no upper bracket for the eigenvalue")
 
     # k to a tenth of the band, so the certificate probes clear the root
-    k, info = brentq(f, lo, hi, xtol=0.05 * tol * lo,
-                     rtol=max(0.05 * tol, 1e-15), maxiter=_MAX_ITER,
-                     full_output=True, disp=False)
-    if not info.converged:
-        raise BracketFailure(f"root find did not converge in {_MAX_ITER} "
-                             f"iterations ({info.flag})")
+    k = brentq(f, lo, hi, xtol=0.05 * tol * lo, rtol=max(0.05 * tol, 1e-15),
+               maxiter=_MAX_ITER)
     # the band lam (1 -+ tol) around lam = k^2 must bracket the root
     if not (f(k * math.sqrt(1.0 - tol)) < -_ANGLE_ERR
             and f(k * math.sqrt(1.0 + tol)) > _ANGLE_ERR):
@@ -343,27 +339,19 @@ def symmetric_interval_length(params: ModelParams,
     """Length of the symmetric interval whose first Neumann eigenvalue
     equals lambda_bar (inverse of lambda1 in the diameter slot).
 
-    Twice the t where the odd launch's Pruefer angle reaches pi/2, a Brent
-    root in t: every crossing is upward (phi' = sqrt(lambda_bar) there),
-    so it is the only one.  Below pi/2 the angle rises at least at
-    sqrt(lambda_bar) off the tan branch, so the crossing comes before
-    pi/sqrt(lambda_bar).  Tan branch: defined for lambda_bar >= N Kbar; at
-    the anchor value, or with the crossing within 1e-9 relative of the
-    pole, the full domain pi/sqrt(Kbar) is returned (boundary case).
-    Coth has no symmetric interval.
+    Twice the t where the odd solution w(0) = 0, w'(0) = 1 first turns
+    (model.odd_turn).  Off the tan branch the drift only speeds the angle
+    atan2(sqrt(lambda_bar) w, w') on its way to pi/2, so the turn comes
+    before pi/(2 sqrt(lambda_bar)).  Tan branch: defined for
+    lambda_bar >= N Kbar; at the anchor value, or with no turn within
+    1e-9 relative of the pole, the full domain pi/sqrt(Kbar) is returned
+    (boundary case).  Coth has no symmetric interval.
     """
     if params.branch is Branch.COTH:
         raise DomainError("coth branch admits no symmetric interval")
     if not (0 < lambda_bar < math.inf):
         raise DomainError(f"lambda_bar must be positive and finite, got "
                           f"{lambda_bar}")
-
-    from scipy.optimize import brentq
-
-    def f(t):
-        return (model.prufer_angle(params, lambda_bar, 0.0, t, odd=True)
-                - 0.5 * math.pi)
-
     hi = math.pi / math.sqrt(lambda_bar)
     if params.branch is Branch.TAN:
         full = math.pi / params.scale
@@ -372,10 +360,16 @@ def symmetric_interval_length(params: ModelParams,
             raise DomainError(
                 f"lambda_bar {lambda_bar} below the full-domain eigenvalue "
                 f"N Kbar = {anchor}")
-        hi = 0.5 * full * (1.0 - 1e-9)
-        if lambda_bar <= anchor * (1.0 + 1e-10) or f(hi) <= 0.0:
+        if lambda_bar <= anchor * (1.0 + 1e-10):
             return full
-    return 2.0 * brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+        hi = 0.5 * full * (1.0 - 1e-9)
+    turn = model.odd_turn(params, lambda_bar, hi)
+    if turn is not None:
+        return 2.0 * turn
+    if params.branch is Branch.TAN:
+        return full
+    raise NumericalError(f"odd solution at lambda_bar {lambda_bar!r} does "
+                         f"not turn before {hi!r}")
 
 
 # ---------------------------------------------------------------------------

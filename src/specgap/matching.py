@@ -180,7 +180,7 @@ def _walk(m, u_star: float, near: float, probe,
 def _match_root(params: ModelParams, m, u_star: float, lo: float, hi: float,
                 case: str) -> MatchResult:
     """Brent root of m(a) = u_star for starts a in the bracket [lo, hi]."""
-    from scipy.optimize import brentq
+    from ._ode import brentq
 
     a_root = brentq(lambda a: m(a) - u_star, lo, hi, xtol=1e-13,
                     rtol=8.9e-16)

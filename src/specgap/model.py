@@ -22,19 +22,30 @@ Each T equals -mu'/mu for the weight mu = cos^{N-1}, cosh^{N-1},
 sinh^{N-1}, 1 respectively, so L_T is the radial part of the weighted
 Laplacian and (mu w')' = -lambda mu w in self-adjoint form.
 
-Both integrations launch from w(a) = -1, w'(a) = 0 (or the odd start
-w(a) = 0, w'(a) = 1 for eigenvalues), by a Frobenius series at a singular
-endpoint (tan's left pole, coth's origin), and follow the scaled Pruefer
-angle phi = atan2(k w, w'), k = sqrt(lambda), with the bounded equation
-phi' = k - T sin(2 phi) / 2 (Pruefer 1926; Pryce, Numerical Solution of
-Sturm-Liouville Problems, 1993, ch. 5); w' = 0 where phi = pi/2 mod pi.
+Both integrations launch from w(a) = -1, w'(a) = 0, by a Frobenius
+series at a singular endpoint (tan's left pole, coth's origin), and
+follow the scaled Pruefer angle phi = atan2(k w, w'), k = sqrt(lambda),
+with the bounded equation phi' = k - T sin(2 phi) / 2 (Pruefer 1926;
+Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5);
+w' = 0 where phi = pi/2 mod pi.
 
-* prufer_angle runs phi to a fixed end b; phi(b) increases strictly in
-  lambda, so Neumann eigenvalues are roots of phi(b) - pi/2.
+* prufer_angle runs phi to a fixed end b with LSODA; phi(b) increases
+  strictly in lambda, so Neumann eigenvalues are roots of phi(b) - pi/2.
 * solve_ivp adds the log-amplitude rho = ln(r / k), r^2 = k^2 w^2 + w'^2,
   and stops at the first w' zero, phi = pi/2, a distance d(a, T, lambda)
   from a, where m = e^rho.  On tan it stops just short of the right
   pole; no zero by then puts the maximum at the pole (d = inf).
+* odd_turn shoots the odd start w(0) = 0, w'(0) = 1 to the same event,
+  w' = 0: half the length of the symmetric interval with that Neumann
+  eigenvalue.  Its angle atan2(S w, w') takes the scale
+  S = min(k, lambda) (see there).
+
+The shots are one scalar DOP853 (the _ode module): scipy's solve_ivp
+takes the same steps, but spends almost all of its time in numpy calls
+on the two-component state, and loading scipy at all costs more than a
+matching call.  Like scipy, _ode is imported on first use: where no
+bytecode is cached, compiling it is a visible share of a process that
+shoots nothing, such as specgap sweep.
 """
 
 from __future__ import annotations
@@ -61,12 +72,17 @@ __all__ = [
     "weight_mu",
     "prufer_angle",
     "solve_ivp",
+    "odd_turn",
 ]
 
-# Integrator controls.  The terminal event is located by the
-# integrator's own root find on the dense output (well below 1e-12).
+# Event-shot controls.  The terminal event is located by a root find
+# on the step's dense output (well below 1e-12).
 RTOL = 1e-10
 ATOL = 1e-10
+# odd_turn's relative tolerance; its absolute one is 1e-3 ODD_RTOL S,
+# S the angle's scale, so the angle (about S t after the launch at 0)
+# keeps its relative accuracy while it is small
+ODD_RTOL = 1e-13
 
 # Pruefer angle controls (LSODA rtol = atol; the angle is O(1)).  About
 # the smallest tolerance LSODA accepts; the global angle error stays
@@ -94,9 +110,15 @@ def _scipy_odeint(*args, **kwargs):
 
 
 def _scipy_solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+    """The event shot, _ode.shoot (the Shot it returns carries nfev).
+
+    Every shot goes through this one module binding, under the name it
+    had when the shot was scipy's solve_ivp: bench/spans.py wraps it by
+    that name to count solves and right-hand side evaluations, and the
+    tests count calls through it.
+    """
+    from . import _ode
+    return _ode.shoot(*args, **kwargs)
 
 
 class Branch(str, Enum):
@@ -286,20 +308,17 @@ def _drift(params: ModelParams, lib=math):
 # ---------------------------------------------------------------------------
 # The scaled Pruefer angle to a fixed end.
 
-def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
-                 odd: bool = False) -> float:
+def prufer_angle(params: ModelParams, lam: float, a: float,
+                 b: float) -> float:
     """phi(b) for phi = atan2(sqrt(lam) w, w') of the solution launched at a.
 
     The launch is w = -1, w' = 0 (phi = -pi/2, by the Frobenius series at
-    a singular left end), or w = 0, w' = 1 (phi = 0) when odd is set.
-    phi' = sqrt(lam) - T sin(2 phi) / 2 is integrated by LSODA up to b;
-    no step passes b, which may lie next to a pole.
+    a singular left end).  phi' = sqrt(lam) - T sin(2 phi) / 2 is
+    integrated by LSODA up to b; no step passes b, which may lie next to
+    a pole.
     """
     k = math.sqrt(lam)
-    if odd:
-        t0, phi0 = a, 0.0
-    else:
-        t0, phi0, _, _ = _launch(params, lam, a)
+    t0, phi0, _, _ = _launch(params, lam, a)
     if not (t0 <= b):
         raise DomainError(f"launch point {t0} beyond the end {b}")
     if t0 == b:
@@ -324,6 +343,16 @@ def prufer_angle(params: ModelParams, lam: float, a: float, b: float, *,
 
 # ---------------------------------------------------------------------------
 # The event shot to the first w' zero.
+
+def _pruefer_rhs(params: ModelParams, lam: float):
+    """(phi', rho') = (k - T sin(phi) cos(phi), T cos(phi)^2) at (t, phi)."""
+    k, T = math.sqrt(lam), _drift(params)
+
+    def rhs(t, phi):
+        Tt, c = T(t), math.cos(phi)
+        return k - Tt * math.sin(phi) * c, Tt * c * c
+    return rhs
+
 
 @dataclass
 class ModelSolution:
@@ -385,7 +414,7 @@ class ModelSolution:
             return self.a
         if y >= self.w_at(top_t):
             return top_t
-        from scipy.optimize import brentq
+        from ._ode import brentq
         return brentq(lambda t: self.w_at(t) - y, self.a, top_t,
                       xtol=1e-14, rtol=8.9e-16)
 
@@ -420,42 +449,25 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     if t0 >= t_cap:
         raise DomainError("start too close to the integration cap")
 
-    k = math.sqrt(lambda_bar)
-    T = _drift(params)
-
-    def rhs(t, y):
-        phi = y[0]
-        Tt, c = T(t), math.cos(phi)
-        return k - Tt * math.sin(phi) * c, Tt * c * c
-
-    def turn(t, y):
-        return y[0] - 0.5 * math.pi
-    turn.terminal, turn.direction = True, 1
+    rhs = _pruefer_rhs(params, lambda_bar)
 
     def shoot(dense_output=False):
-        with np.errstate(over="raise", invalid="raise"):
-            return _scipy_solve_ivp(rhs, (t0, t_cap), [phi0, rho0],
-                                    method="DOP853", rtol=RTOL, atol=ATOL,
-                                    events=turn, dense_output=dense_output)
+        return _scipy_solve_ivp(rhs, t0, phi0, rho0, t_cap, RTOL, ATOL,
+                                dense_output)
 
-    try:
-        sol = shoot()
-    except FloatingPointError as exc:
-        raise IntegrationFailure(f"integrator overflow: {exc}") from exc
-    if sol.status == -1 or not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationFailure(f"integrator failed: {sol.message}")
-    if sol.t_events[0].size:
-        t_end, rho = float(sol.t_events[0][0]), sol.y_events[0][0][1]
+    shot = shoot()
+    t_end, phi, rho = shot.t, shot.phi, shot.rho
+    if shot.event:
         if not (-708.0 < rho < 709.0):  # m = e^rho a normal float
             raise IntegrationFailure(f"maximum e^{rho:.6g} out of range")
         return ModelSolution(params, lambda_bar, a, t_end - a, t_end,
                              math.exp(rho), "event", series, shoot)
 
-    t_end, phi = float(sol.t[-1]), sol.y[0, -1]
     if params.branch is Branch.TAN:
         certificate = "pole"
     elif subthreshold:
         # the certificate reads only w's sign and w'/w: drop the e^rho
+        k = math.sqrt(lambda_bar)
         _certify_subthreshold(params, lambda_bar,
                               (math.sin(phi), k * math.cos(phi)), t_end - t0)
         certificate = "subthreshold"
@@ -464,6 +476,33 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
             f"no w' zero within horizon ending at t = {t_end:.6g}")
     return ModelSolution(params, lambda_bar, a, math.inf, None, None,
                          certificate, series, shoot)
+
+
+def odd_turn(params: ModelParams, lam: float, t_cap: float) -> float | None:
+    """Where the odd solution w(0) = 0, w'(0) = 1 first turns.
+
+    The t in (0, t_cap) at which phi = atan2(S w, w'), launched at 0,
+    reaches pi/2, from one shot; None when it does not by t_cap.  0 must
+    lie inside the domain (not coth).  With this scale,
+    phi' = S cos^2 + (lam / S) sin^2 - T sin cos crosses pi/2 at the rate
+    lam / S.  At S = k that rate is k, and on a long tanh interval the
+    crossing lies within k / theta of the stable point pi/2 + k / theta
+    that phi settles to, so the turn moves by (angle error) / k, 1e-2 at
+    lam = 1e-20 for an angle error of 1e-12.  S = min(k, lam) keeps the
+    rate at least 1 and that distance at least 1 / theta.
+    The log-amplitude is not read: its zero rate keeps it out of the
+    error control.
+    """
+    S = min(math.sqrt(lam), lam)
+    q, T = lam / S, _drift(params)
+
+    def rhs(t, phi):
+        s, c = math.sin(phi), math.cos(phi)
+        return S * c * c + q * s * s - T(t) * s * c, 0.0
+
+    shot = _scipy_solve_ivp(rhs, 0.0, 0.0, 0.0, t_cap, ODD_RTOL,
+                            1e-3 * ODD_RTOL * S)
+    return shot.t if shot.event else None
 
 
 def _certify_subthreshold(params: ModelParams, lam: float, y_end: tuple,

@@ -86,14 +86,15 @@ def test_lambda1_meets_tolerance_or_raises(K, D):
 
 
 def _exact_n3_symmetric(K, D):
-    """lambda1(3, K, D) from the n = 3 closed form, at 40 digits.
+    """lambda1(3, K, D) from the n = 3 closed form, at 40 + sqrt|K| D / 2
+    digits: the flux below cancels like e^(sqrt|K| D / 2).
 
     With mu = g^2 (g = cos, cosh of sqrt|K| t), w = u / g turns the ODE
     into u'' + (lam + K) u = 0; the odd eigenfunction has u(0) = 0,
     u'(0) = 1, and its Neumann end D/2 is the first root of the flux
     g u' - g' u.  u is entire in z = lam + K, so complex sqrt(z) is safe.
     """
-    with mp.workdps(40):
+    with mp.workdps(40 + int(math.sqrt(abs(K)) * D / 2)):
         if K == 0:
             return float(mp.pi ** 2 / mp.mpf(D) ** 2)
         K, h = mp.mpf(K), mp.mpf(D) / 2
@@ -153,6 +154,13 @@ LARGE_THETA_D = {
 def test_lambda1_large_theta_d(n, K, D):
     want = LARGE_THETA_D[(n, K, D)]
     assert abs(lambda1_model(n, K, D) / want - 1.0) <= 1e-10
+
+
+def test_lambda1_theta_d_200_matches_closed_form():
+    # the closed form's flux cancels like e^(theta D / 4) = e^50 here: at a
+    # fixed 40 digits it returned 1.488e-43, half the value 2.976e-43
+    want = _exact_n3_symmetric(-1.0, 100.0)
+    assert abs(lambda1_model(3, -1.0, 100.0) / want - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("D", [711.0, 800.0])
@@ -399,6 +407,24 @@ def test_symmetric_interval_length_long_interval():
     # eigenvalue amplifies its relative error about 46 times
     D = symmetric_interval_length(ModelParams(3.0, -1.0, Branch.TANH), 1e-9)
     assert abs(_exact_n3_symmetric(-1.0, D) / 1e-9 - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-100, 1e-300])
+def test_symmetric_interval_length_tiny_lambda(lam):
+    # D ~ ln(8 / lam) up to 693; lambda1_model is exact to rounding there
+    # (test_lambda1_theta_d_200_matches_closed_form).  An angle at the
+    # scale sqrt(lam) puts lambda 1.3e-3 off at 1e-20 and fails below
+    D = symmetric_interval_length(ModelParams(3.0, -1.0, Branch.TANH), lam)
+    assert abs(lambda1_model(3, -1.0, D) / lam - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("K,lam", [(-1.0, 1e100), (1.0, 1e200)])
+def test_symmetric_interval_length_at_huge_lambda(K, lam):
+    # the drift is negligible over pi/sqrt(lam); the turn lies far below
+    # any absolute time tolerance (the tan case used to return 0.0)
+    p = ModelParams(3.0, K, branch_for_curvature(K, "symmetric"))
+    assert symmetric_interval_length(p, lam) == pytest.approx(
+        math.pi / math.sqrt(lam), rel=1e-12, abs=0.0)
 
 
 def test_symmetric_interval_length_at_closing_eigenvalue():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specgap import model
+from specgap import _ode, model
 from specgap.eigen import symmetric_interval_length
-from specgap.errors import DomainError, HorizonReached, IntegrationFailure
+from specgap.errors import (BracketFailure, DomainError, HorizonReached,
+                            IntegrationFailure)
 from specgap.model import (
     Branch,
     ModelParams,
@@ -155,12 +156,13 @@ def test_wprime_positive_before_first_zero():
 
 @pytest.mark.parametrize("lam", [0.5, 4.0, 30.0])
 def test_prufer_angle_zero_branch_closed_form(lam):
-    # T = 0: phi' = sqrt(lam), from -pi/2 (regular) or 0 (odd)
+    # T = 0: phi' = sqrt(lam) from -pi/2; the odd start turns at
+    # pi/(2 sqrt(lam)), half the symmetric interval
     root = math.sqrt(lam)
     assert prufer_angle(ZERO3, lam, 0.25, 2.0) == pytest.approx(
         -math.pi / 2 + root * 1.75, abs=1e-11)
-    assert prufer_angle(ZERO3, lam, 0.0, 1.3, odd=True) == pytest.approx(
-        root * 1.3, abs=1e-11)
+    assert symmetric_interval_length(ZERO3, lam) == pytest.approx(
+        math.pi / root, rel=1e-12)
 
 
 @pytest.mark.parametrize("params,lam,a", [
@@ -187,16 +189,17 @@ def test_prufer_angle_failure_is_typed(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationFailure):
-            prufer_angle(TANH3, 3.0, 0.0, 10.0, odd=True)
+            prufer_angle(TANH3, 3.0, 0.0, 10.0)
 
 
 def test_prufer_angle_that_never_moves_is_typed():
     # at lam = 1e300 LSODA reports success after one step that never
     # leaves the launch, which would read as the launch angle
     with pytest.raises(IntegrationFailure, match="short of"):
-        prufer_angle(TAN3, 1e300, 0.0, 1.0, odd=True)
-    with pytest.raises(IntegrationFailure):
-        symmetric_interval_length(TAN3, 1e300)
+        prufer_angle(TAN3, 1e300, 0.0, 1.0)
+    # the odd shot moves: its turn is where the drift is negligible
+    assert symmetric_interval_length(TAN3, 1e300) == pytest.approx(
+        math.pi / 1e150, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +355,90 @@ def test_w_inverse_range_checked():
         sol.w_inverse(-1.1)
     with pytest.raises(DomainError):
         sol.w_inverse(sol.m * 1.01)
+
+
+# ---------------------------------------------------------------------------
+# the in-package DOP853 shot against scipy's on the same right-hand side
+
+@pytest.mark.parametrize("params,lam,a,certificate", [
+    (TAN3, 6.0, -1.0, "event"),
+    (TAN3, 6.0, -math.pi / 2, "event"),     # Frobenius launch at the pole
+    (COTH3, 4.0, 0.0, "event"),             # Frobenius launch at the origin
+    (TANH3, 3.0, -1.0, "event"),            # above theta^2/4 = 1
+    (TANH3, 0.9, 1.0, "subthreshold"),
+    (TAN3, 2.0, -1.2, "pole"),
+])
+def test_shot_takes_scipy_dop853_steps(monkeypatch, params, lam, a,
+                                       certificate):
+    """As many accepted steps as scipy's solve_ivp(method="DOP853"), the
+    same event and m to 1e-13, the same dense trajectory to 1e-12.
+
+    The step sizes agree only to about 1e-8: the controller reads an
+    error estimate that cancels down to its last few digits, whose
+    rounding depends on the summation order.  Where it reads rounding
+    noise alone (the settled decay of the subthreshold run, rho's steep
+    climb into the tan pole) step ends drift apart by up to 1e-3 of a
+    step, and the runs without a turn agree only to the requested
+    tolerance: 2.5e-12 and 1.6e-11 relative today.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, _ode.shoot(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(model, "_scipy_solve_ivp", recorded)
+    sol = solve_ivp(params, lam, a)
+    assert sol.certificate == certificate
+    sol.w_at(sol.a)  # the dense re-run
+    (args, shot), (_, dense) = calls
+    rhs, t0, phi0, rho0, t_end, rtol, atol = args[:7]
+
+    def turn(t, y):
+        return y[0] - math.pi / 2
+    turn.terminal, turn.direction = True, 1
+    ref = scipy_solve_ivp(lambda t, y: rhs(t, y[0]), (t0, t_end),
+                          [phi0, rho0], method="DOP853", rtol=rtol,
+                          atol=atol, events=turn, dense_output=True)
+    assert shot.nsteps == dense.nsteps == ref.t.size - 1
+    assert shot.event == dense.event == (certificate == "event")
+    t = np.linspace(t0, shot.t, 50)
+    diff = np.abs(dense.sol(t) - ref.sol(t))
+    if shot.event:
+        assert shot.t == pytest.approx(ref.t_events[0][0], rel=1e-13)
+        assert math.exp(shot.rho) == pytest.approx(
+            math.exp(ref.y_events[0][0][1]), rel=1e-13)
+        assert dense.sol.t_max == pytest.approx(ref.sol.t_max, rel=1e-13)
+        assert np.max(diff) < 1e-12
+    else:
+        assert shot.t == dense.sol.t_max == ref.t[-1] == t_end
+        # the integrator's own error scale, atol + rtol |y|
+        end = np.array([shot.phi, shot.rho])
+        assert np.all(np.abs(end - ref.y[:, -1]) <= atol + rtol * np.abs(end))
+        assert np.all(diff <= atol + rtol * np.abs(ref.sol(t)))
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+    (math.cos, 0.0, 3.0),
+    (lambda x: math.exp(x) - 1e3, -5.0, 20.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),  # step-like
+])
+def test_brentq_takes_scipys_iterates(f, a, b):
+    from scipy.optimize import brentq as scipy_brentq
+
+    want, got = [], []
+    root = scipy_brentq(lambda x: want.append(x) or f(x), a, b, xtol=1e-14,
+                        rtol=8.9e-16)
+    assert _ode.brentq(lambda x: got.append(x) or f(x), a, b,
+                             xtol=1e-14, rtol=8.9e-16) == root
+    assert got == want
+
+
+def test_brentq_failures_are_typed():
+    with pytest.raises(BracketFailure, match="bracket"):
+        _ode.brentq(math.cos, 0.0, 1.0, 1e-14, 8.9e-16)
+    with pytest.raises(BracketFailure, match="converge"):
+        _ode.brentq(math.cos, 0.0, 3.0, 1e-14, 8.9e-16, maxiter=2)
