@@ -13,9 +13,18 @@ in which phi - pi/2 changes sign, as there.
 
 Everything is plain float arithmetic on the two components: scipy's
 per-step cost on a two-component state is almost all numpy overhead on
-tiny arrays.  Where numpy (under errstate) raised on an overflow or an
-invalid value, the shot raises IntegrationFailure: a non-finite norm,
-error estimate or state, and OverflowError or ValueError from math.
+tiny arrays.  Nor is the step a loop over the tableau: at import,
+_build_step writes its stage, solution, error and dense-output sums out
+from the tableau tuples as straight-line arithmetic, keeping each sum's
+terms in tableau order and dropping those whose coefficient is 0.0.
+Loops calling a dot product 17 times a step over rows that are mostly
+0.0 took about a third of a shot's time; for finite stages x + 0.0 k is
+x, so the written-out sums round exactly as the loops did and every
+shot takes the same steps.
+
+Where numpy (under errstate) raised on an overflow or an invalid value,
+the shot raises IntegrationFailure: a non-finite norm, error estimate or
+state, and OverflowError or ValueError from math.
 
 brentq is scipy's brentq (Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4) for Python floats; it raises BracketFailure
@@ -26,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -187,8 +195,56 @@ _D = (
 )
 
 
-def _dot(a, k) -> float:
-    return sum(map(mul, a, k))
+def _build_step():
+    """_step and _coefficients, written out from the tableau: each sum
+    keeps its terms in tableau order and drops those whose coefficient is
+    0.0; p<i>, r<i> are phi' and rho' at stage i.
+
+    _step(rhs, t, h, t_new, phi, rho, fp, fr) takes one step of size
+    h = t_new - t from (phi, rho), whose f is (fp, fr), and returns
+    (phi_new, rho_new, the 5th and 3rd order error sums of phi and of
+    rho, the stages 0..12 of phi and of rho).
+    _coefficients(rhs, t, h, phi, kp, kr, dphi, drho) returns the seven
+    interpolation coefficients of each component over that step from its
+    stages kp, kr and increments dphi, drho.
+    """
+    p, r = [f"p{i}" for i in range(16)], [f"r{i}" for i in range(16)]
+
+    def dot(row, k):
+        return " + ".join(f"{a!r} * {x}" for a, x in zip(row, k) if a)
+
+    def stages(table, first):
+        return [f"    p{i}, r{i} = rhs(t + {c!r} * h, phi + h * ({dot(a, p)}))"
+                for i, (c, a) in enumerate(table, first)]
+
+    def coefficients(d, k):
+        return ", ".join([d, f"h * {k[0]} - {d}",
+                          f"2.0 * {d} - h * ({k[12]} + {k[0]})",
+                          *(f"h * ({dot(row, k)})" for row in _D)])
+
+    kp, kr = ", ".join(p[:13]), ", ".join(r[:13])
+    source = "\n".join([
+        "def _step(rhs, t, h, t_new, phi, rho, p0, r0):",
+        *stages(_STAGES, 1),
+        f"    phi_new = phi + h * ({dot(_B, p)})",
+        f"    rho_new = rho + h * ({dot(_B, r)})",
+        "    p12, r12 = rhs(t_new, phi_new)",
+        f"    return (phi_new, rho_new, {dot(_E5, p)}, {dot(_E5, r)},",
+        f"            {dot(_E3, p)}, {dot(_E3, r)}, ({kp}), ({kr}))",
+        "",
+        "def _coefficients(rhs, t, h, phi, kp, kr, dphi, drho):",
+        f"    {kp} = kp",
+        f"    {kr} = kr",
+        *stages(_EXTRA, 13),
+        f"    return (({coefficients('dphi', p)}),",
+        f"            ({coefficients('drho', r)}))",
+    ])
+    namespace = {"__name__": __name__}
+    exec(compile(source, f"<{__name__} step>", "exec"), namespace)
+    return namespace["_step"], namespace["_coefficients"]
+
+
+_step, _coefficients = _build_step()
 
 
 def _rms(x: float, y: float) -> float:
@@ -197,18 +253,6 @@ def _rms(x: float, y: float) -> float:
     if not out < math.inf:
         raise IntegrationFailure("integrator overflow: state norm")
     return out
-
-
-def _coefficients(rhs, t, h, phi, kp, kr, dphi, drho):
-    """The seven interpolation coefficients of each component over the
-    step [t, t + h] from phi (the extra stages are appended to kp, kr)."""
-    for c, a in _EXTRA:
-        p, r = rhs(t + c * h, phi + h * _dot(a, kp))
-        kp.append(p)
-        kr.append(r)
-    return tuple((d, h * k[0] - d, 2.0 * d - h * (k[12] + k[0]),
-                  *(h * _dot(row, k) for row in _D))
-                 for d, k in ((dphi, kp), (drho, kr)))
 
 
 def _interpolate(F, y0: float, x):
@@ -299,20 +343,13 @@ def _shoot(rhs, t0, phi0, rho0, t_end, rtol, atol, dense_output):
                     f"integrator step below the float spacing at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            kp, kr = [fp], [fr]
-            for c, a in _STAGES:
-                p, r = rhs(t + c * h, phi + h * _dot(a, kp))
-                kp.append(p)
-                kr.append(r)
-            phi_new, rho_new = phi + h * _dot(_B, kp), rho + h * _dot(_B, kr)
-            p, r = rhs(t_new, phi_new)
-            kp.append(p)
-            kr.append(r)
+            phi_new, rho_new, ep5, er5, ep3, er3, kp, kr = _step(
+                rhs, t, h, t_new, phi, rho, fp, fr)
             nfev += 12
             sp = atol + max(abs(phi), abs(phi_new)) * rtol
             sr = atol + max(abs(rho), abs(rho_new)) * rtol
-            e5 = (_dot(_E5, kp) / sp) ** 2 + (_dot(_E5, kr) / sr) ** 2
-            e3 = (_dot(_E3, kp) / sp) ** 2 + (_dot(_E3, kr) / sr) ** 2
+            e5 = (ep5 / sp) ** 2 + (er5 / sr) ** 2
+            e3 = (ep3 / sp) ** 2 + (er3 / sr) ** 2
             if not e5 + e3 < math.inf:
                 raise IntegrationFailure(
                     f"non-finite error estimate at t = {t!r}")

@@ -43,9 +43,12 @@ w' = 0 where phi = pi/2 mod pi.
 The shots are one scalar DOP853 (the _ode module): scipy's solve_ivp
 takes the same steps, but spends almost all of its time in numpy calls
 on the two-component state, and loading scipy at all costs more than a
-matching call.  Like scipy, _ode is imported on first use: where no
-bytecode is cached, compiling it is a visible share of a process that
-shoots nothing, such as specgap sweep.
+matching call.  _ode's step is straight-line float arithmetic, written
+out from the tableau when _ode is imported, so a step costs its twelve
+right-hand side calls and little else.  Like scipy, _ode is imported on
+first use: where no bytecode is cached, compiling it is a visible share
+of a process that shoots nothing, such as specgap sweep, and writing
+out the step adds about 2 ms to every import.
 """
 
 from __future__ import annotations
@@ -430,7 +433,8 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     or the 50/sqrt(|Kbar|) certificate window below the essential
     threshold, and on tan ends just short of the pole.  Raises
     HorizonReached with neither a w' zero nor a certificate, and
-    IntegrationFailure when m leaves the float range.
+    IntegrationFailure when m leaves the float range or the turn lies too
+    close to a for the float spacing there to carry d to RTOL.
     """
     if not (lambda_bar > 0.0) or not math.isfinite(lambda_bar):
         raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
@@ -460,8 +464,15 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     if shot.event:
         if not (-708.0 < rho < 709.0):  # m = e^rho a normal float
             raise IntegrationFailure(f"maximum e^{rho:.6g} out of range")
-        return ModelSolution(params, lambda_bar, a, t_end - a, t_end,
-                             math.exp(rho), "event", series, shoot)
+        d = t_end - a
+        # the shot runs in t, so d carries RTOL only where the float
+        # spacing at a and at the turn is finer than RTOL d
+        if math.ulp(max(abs(a), abs(t_end))) > RTOL * d:
+            raise IntegrationFailure(
+                f"turn at distance {d!r} from a = {a!r}: below the float "
+                f"spacing there to relative {RTOL}")
+        return ModelSolution(params, lambda_bar, a, d, t_end, math.exp(rho),
+                             "event", series, shoot)
 
     if params.branch is Branch.TAN:
         certificate = "pole"

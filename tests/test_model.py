@@ -3,6 +3,7 @@ Neumann shooting IVP, and the first-maximum search."""
 
 import math
 import warnings
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -313,6 +314,18 @@ def test_horizon_reached_raises():
         assert sol.m == pytest.approx(m, rel=1e-7)
 
 
+def test_turn_within_float_spacing_of_start_raises():
+    # d = t_event - a from a shot in t: at a = -1 the float spacing
+    # carries a turn pi/sqrt(lam) away to RTOL at lam = 1e10, not at 1e30
+    # (d came out 1% off) or 1e100 (d came out 0.0)
+    lam = 1e10
+    assert solve_ivp(TANH3, lam, -1.0).d == pytest.approx(
+        math.pi / math.sqrt(lam), rel=1e-9)
+    for lam in (1e30, 1e100):
+        with pytest.raises(IntegrationFailure, match="float spacing"):
+            solve_ivp(TANH3, lam, -1.0)
+
+
 def test_turn_above_decay_floor_still_reported():
     sol = solve_ivp(TANH3, 1.2, 5.0)
     assert sol.certificate == "event"
@@ -360,14 +373,17 @@ def test_w_inverse_range_checked():
 # ---------------------------------------------------------------------------
 # the in-package DOP853 shot against scipy's on the same right-hand side
 
-@pytest.mark.parametrize("params,lam,a,certificate", [
+SHOTS = [
     (TAN3, 6.0, -1.0, "event"),
     (TAN3, 6.0, -math.pi / 2, "event"),     # Frobenius launch at the pole
     (COTH3, 4.0, 0.0, "event"),             # Frobenius launch at the origin
     (TANH3, 3.0, -1.0, "event"),            # above theta^2/4 = 1
     (TANH3, 0.9, 1.0, "subthreshold"),
     (TAN3, 2.0, -1.2, "pole"),
-])
+]
+
+
+@pytest.mark.parametrize("params,lam,a,certificate", SHOTS)
 def test_shot_takes_scipy_dop853_steps(monkeypatch, params, lam, a,
                                        certificate):
     """As many accepted steps as scipy's solve_ivp(method="DOP853"), the
@@ -418,6 +434,133 @@ def test_shot_takes_scipy_dop853_steps(monkeypatch, params, lam, a,
         end = np.array([shot.phi, shot.rho])
         assert np.all(np.abs(end - ref.y[:, -1]) <= atol + rtol * np.abs(end))
         assert np.all(diff <= atol + rtol * np.abs(ref.sol(t)))
+
+
+# _ode's step is written out from the tableau; here is its loop form
+
+def _dot(a, k):
+    return sum(map(mul, a, k))
+
+
+def reference_step(rhs, t, h, t_new, phi, rho, fp, fr):
+    """_ode._step as loops over the tableau rows, 0.0 terms included."""
+    kp, kr = [fp], [fr]
+    for c, a in _ode._STAGES:
+        p, r = rhs(t + c * h, phi + h * _dot(a, kp))
+        kp.append(p)
+        kr.append(r)
+    phi_new = phi + h * _dot(_ode._B, kp)
+    rho_new = rho + h * _dot(_ode._B, kr)
+    p, r = rhs(t_new, phi_new)
+    kp.append(p)
+    kr.append(r)
+    return (phi_new, rho_new, _dot(_ode._E5, kp), _dot(_ode._E5, kr),
+            _dot(_ode._E3, kp), _dot(_ode._E3, kr), tuple(kp), tuple(kr))
+
+
+def reference_coefficients(rhs, t, h, phi, kp, kr, dphi, drho):
+    """_ode._coefficients as loops over the tableau rows."""
+    kp, kr = list(kp), list(kr)
+    for c, a in _ode._EXTRA:
+        p, r = rhs(t + c * h, phi + h * _dot(a, kp))
+        kp.append(p)
+        kr.append(r)
+    return tuple((d, h * k[0] - d, 2.0 * d - h * (k[12] + k[0]),
+                  *(h * _dot(row, k) for row in _ode._D))
+                 for d, k in ((dphi, kp), (drho, kr)))
+
+
+@pytest.mark.parametrize("params,t_lo,t_hi,h_hi", [
+    (TAN3, -1.4, 0.9, 0.3),
+    (TANH3, -6.0, 6.0, 2.0),
+    (COTH3, 0.01, 6.0, 2.0),
+    (ZERO3, -6.0, 6.0, 2.0),
+])
+def test_step_equals_loop_form(params, t_lo, t_hi, h_hi):
+    """The written-out step and dense coefficients round exactly as the
+    loops do: dropping a 0.0 * k term adds nothing to a finite sum."""
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        lam, t, h, phi, rho = (float(x) for x in rng.uniform(
+            (0.1, t_lo, 1e-4, -3.0, -30.0), (60.0, t_hi, h_hi, 3.0, 30.0)))
+        rhs = model._pruefer_rhs(params, lam)
+        fp, fr = rhs(t, phi)
+        step = (rhs, t, h, t + h, phi, rho, fp, fr)
+        got = _ode._step(*step)
+        assert got == reference_step(*step)
+        dense = (rhs, t, h, phi, got[6], got[7], got[0] - phi, got[1] - rho)
+        assert _ode._coefficients(*dense) == reference_coefficients(*dense)
+
+
+@pytest.mark.parametrize("params,lam,a,certificate", SHOTS)
+def test_shot_equals_loop_form_shot(monkeypatch, params, lam, a,
+                                    certificate):
+    """Whole shots on the loop form take the same steps to the last bit,
+    with and without dense output."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(model, "_scipy_solve_ivp",
+                  lambda *args: calls.append(args) or _ode.shoot(*args))
+        solve_ivp(params, lam, a)
+    args = calls[0][:7]  # without dense_output
+    got = [_ode.shoot(*args, dense_output=dense) for dense in (False, True)]
+    monkeypatch.setattr(_ode, "_step", reference_step)
+    monkeypatch.setattr(_ode, "_coefficients", reference_coefficients)
+    want = [_ode.shoot(*args, dense_output=dense) for dense in (False, True)]
+    fields = ("t", "phi", "rho", "event", "nfev", "nsteps")
+    for g, w in zip(got, want):
+        assert g.event == (certificate == "event")
+        assert [getattr(g, f) for f in fields] == [getattr(w, f)
+                                                   for f in fields]
+    g, w = got[1].sol, want[1].sol
+    assert (g.t_min, g.t_max) == (w.t_min, w.t_max)
+    for name in ("_ends", "_t_old", "_h", "_y0", "_F"):
+        assert np.array_equal(getattr(g, name), getattr(w, name))
+
+
+@pytest.mark.parametrize("params,lam,a,certificate", [
+    (TAN3, 6.0, -1.0, "event"),
+    (TAN3, 2.0, -1.2, "pole"),
+    (TANH3, 0.9, 1.0, "subthreshold"),
+])
+def test_nfev_counts_rhs_calls(monkeypatch, params, lam, a, certificate):
+    """Shot.nfev, which the benchmark reads as its right-hand side
+    count, is the number of calls, with and without dense output."""
+    counted = []
+
+    def counting(rhs, *args):
+        calls = []
+
+        def rhs_counted(t, phi):
+            calls.append(t)
+            return rhs(t, phi)
+
+        shot = _ode.shoot(rhs_counted, *args)
+        counted.append((shot, len(calls)))
+        return shot
+
+    monkeypatch.setattr(model, "_scipy_solve_ivp", counting)
+    sol = solve_ivp(params, lam, a)
+    assert sol.certificate == certificate
+    sol.w_at(sol.a)  # the dense re-run
+    (plain, n_plain), (dense, n_dense) = counted
+    assert plain.sol is None and dense.sol is not None
+    assert plain.nfev == n_plain
+    assert dense.nfev == n_dense > n_plain
+
+
+@pytest.mark.parametrize("bad", range(14))
+def test_infinite_rhs_value_raises(bad):
+    # calls 0 and 1 are the start and the initial-step probe, 2..13 the
+    # twelve of the first step
+    rhs, calls = model._pruefer_rhs(TAN3, 6.0), []
+
+    def spiked(t, phi):
+        calls.append(t)
+        return (math.inf, math.inf) if len(calls) == bad + 1 else rhs(t, phi)
+
+    with pytest.raises(IntegrationFailure):
+        _ode.shoot(spiked, -1.0, -0.5 * math.pi, 0.0, 1.5, 1e-10, 1e-10)
 
 
 @pytest.mark.parametrize("f,a,b", [
