@@ -17,8 +17,8 @@ from .auxfunc import (CurvatureProfile, Geometry, JReport, JSolution,
 from .bounds import (BoundReport, aubry, bound_report, lichnerowicz,
                      main_bound, shi_zhang, shi_zhang_maximizer, yang,
                      zhong_yang)
-from .eigen import (EigenQuery, fd_oracle_eigenvalue, lambda1_model,
-                    neumann_eigenvalue_shooting, symmetric_interval_length)
+from .eigen import (EigenQuery, lambda1_model, neumann_eigenvalue_shooting,
+                    symmetric_interval_length)
 from .errors import (BracketFailure, CertifiedInfinite, DomainError,
                      HorizonReached, InfeasibleDelta, InputError,
                      IntegrationFailure, MeshTooCoarse,
@@ -47,7 +47,7 @@ __all__ = [
     "branch_for_curvature", "drift_eval", "riccati_residual", "weight_mu",
     "solve_ivp",
     "EigenQuery", "neumann_eigenvalue_shooting", "lambda1_model",
-    "symmetric_interval_length", "fd_oracle_eigenvalue",
+    "symmetric_interval_length",
     "lichnerowicz", "zhong_yang", "shi_zhang", "shi_zhang_maximizer",
     "yang", "aubry", "main_bound", "BoundReport", "bound_report",
     "PerturbedParams", "ConditionReport", "choose_lambda_bar", "choose_N",

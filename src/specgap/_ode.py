@@ -1,15 +1,17 @@
 """Scalar DOP853 shots of the Pruefer pair, and Brent's root.
 
 shoot integrates the angle and log-amplitude (phi, rho) of model.py,
-whose right-hand side reads phi only, from t0 until phi first crosses
-pi/2 upward or the end is reached.  It is the explicit Runge-Kutta
-method of order 8 with the embedded 5th/3rd order error estimate and
-the 7th degree dense output of Hairer, Norsett & Wanner, Solving
-Ordinary Differential Equations I (2nd ed., 1993), section II.5, with
-the error norm, step-size controller and initial-step rule of scipy's
-solve_ivp(method="DOP853"), so on the same problem it takes the same
-steps.  The event is located by brentq on the dense output of the step
-in which phi - pi/2 changes sign, as there.
+whose right-hand side reads phi only, from t0 until phi first crosses a
+given angle upward (pi/2 for the event shots, inf for the angle to a
+fixed end) or the end is reached, and gives up after _MAX_STEPS steps.
+It is the explicit Runge-Kutta method of order 8 with the embedded
+5th/3rd order error estimate and the 7th degree dense output of Hairer,
+Norsett & Wanner, Solving Ordinary Differential Equations I (2nd ed.,
+1993), section II.5, with the error norm, step-size controller and
+initial-step rule of scipy's solve_ivp(method="DOP853"), so on the same
+problem it takes the same steps.  The event is located by brentq on the
+dense output of the step in which phi minus that angle changes sign, as
+there.
 
 Everything is plain float arithmetic on the two components: scipy's
 per-step cost on a two-component state is almost all numpy overhead on
@@ -40,12 +42,14 @@ import numpy as np
 
 from .errors import BracketFailure, IntegrationFailure
 
-_HALF_PI = 0.5 * math.pi
 _EPS = 2.220446049250313e-16
 _TINY = 2.2250738585072014e-308
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
+# accepted steps before a shot gives up (a fixed-end angle at a huge
+# lambda would otherwise step on for ever)
+_MAX_STEPS = 20000
 
 # Dormand-Prince 8(5,3): the nodes c_s and rows a_s of stages 1..11
 # (stage 0 is f at the step's start), the weights of the step, the 5th
@@ -317,22 +321,29 @@ def _initial_step(rhs, t0, phi0, rho0, fp, fr, span, rtol, atol) -> float:
 
 
 def shoot(rhs, t0: float, phi0: float, rho0: float, t_end: float,
-          rtol: float, atol: float, dense_output: bool = False) -> Shot:
+          phi_stop: float, rtol: float, atol: float,
+          dense_output: bool = False) -> Shot:
     """Integrate (phi, rho)' = rhs(t, phi) from t0 < t_end until phi
-    first crosses pi/2 upward, or to t_end.  Raises IntegrationFailure
-    on overflow, a non-finite state or a step below the float spacing."""
+    first crosses phi_stop upward (pi/2 for the event shots, inf for a
+    run to t_end), or to t_end.  Raises IntegrationFailure on overflow, a
+    non-finite state, a step below the float spacing or _MAX_STEPS
+    accepted steps without an end."""
     try:
-        return _shoot(rhs, t0, phi0, rho0, t_end, rtol, atol, dense_output)
+        return _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol,
+                      dense_output)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise IntegrationFailure(f"integrator overflow: {exc}") from exc
 
 
-def _shoot(rhs, t0, phi0, rho0, t_end, rtol, atol, dense_output):
+def _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol, dense_output):
     fp, fr = rhs(t0, phi0)
     h_abs = _initial_step(rhs, t0, phi0, rho0, fp, fr, t_end - t0, rtol, atol)
     nfev, nsteps, steps = 2, 0, []
     t, phi, rho = t0, phi0, rho0
     while True:
+        if nsteps == _MAX_STEPS:
+            raise IntegrationFailure(f"no end in {_MAX_STEPS} steps: at "
+                                     f"t = {t!r}, short of {t_end!r}")
         # one accepted step from t, or a step size below the float spacing
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -363,7 +374,7 @@ def _shoot(rhs, t0, phi0, rho0, t_end, rtol, atol, dense_output):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
         nsteps += 1
-        event = phi <= _HALF_PI <= phi_new
+        event = phi <= phi_stop <= phi_new
         if event or dense_output:
             F = _coefficients(rhs, t, h, phi, kp, kr, phi_new - phi,
                               rho_new - rho)
@@ -374,7 +385,7 @@ def _shoot(rhs, t0, phi0, rho0, t_end, rtol, atol, dense_output):
             # a turn that lies within 1e-15 of t = 0 (the odd launch at a
             # huge lambda)
             t_ev = brentq(lambda s: _interpolate(F[0], phi, (s - t) / h)
-                          - _HALF_PI, t, t_new, _TINY, 4.0 * _EPS)
+                          - phi_stop, t, t_new, _TINY, 4.0 * _EPS)
             x = (t_ev - t) / h
             t, phi, rho = (t_ev, _interpolate(F[0], phi, x),
                            _interpolate(F[1], rho, x))

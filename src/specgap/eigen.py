@@ -9,9 +9,6 @@ Three routes, chosen by the interval:
   lambda1_model: pure numpy, no integrator, no root find;
 * shooting on the scaled Pruefer angle for every other interval.
 
-The finite-volume matrix discretisation of (mu w')' = -lambda mu w
-(fd_oracle_eigenvalue) is kept apart as a cross-checking oracle.
-
 On a symmetric interval [-L, L] with an even weight the first
 nontrivial eigenfunction is odd, so it solves the half problem on
 [0, L] with w(0) = 0 and zero flux mu w' at L.  Its Green operator
@@ -31,14 +28,15 @@ otherwise NumericalError is raised, near a tan pole with N < 3 for
 example, where the weight is not smooth enough for the expansion.
 
 Shooting follows the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
-(model.prufer_angle) to the far end of the interval, where the Neumann
-condition w' = 0 reads phi = pi/2, so lambda_1 is the root of a
-continuous, strictly increasing function with no event or cap.  It
-launches at the left end, a tan interval ending at the right pole from
-its mirror image.  The root is a Brent root in sqrt(lam) (about 9
-solves with its certificate): the angle must change sign across
-lam (1 -+ tol) by more than its integration error, or NumericalError is
-raised.
+(model.prufer_angle, on the DOP853 of every shot) to the far end of the
+interval, where the Neumann condition w' = 0 reads phi = pi/2, so
+lambda_1 is the root of a continuous, strictly increasing function with
+no event.  It launches at the left end, a tan interval ending at the
+right pole from its mirror image.  The root is a Brent root in
+sqrt(lam) (12 to 50 angle solves with its certificate): the angle must
+change sign across lam (1 -+ tol) by more than its integration error,
+estimated from a second run at ten times the integration tolerance, or
+NumericalError is raised.
 """
 
 from __future__ import annotations
@@ -52,13 +50,7 @@ import numpy as np
 
 from . import model
 from .bounds import shi_zhang, zhong_yang
-from .errors import (
-    BracketFailure,
-    DomainError,
-    MeshTooCoarse,
-    NumericalError,
-    SingularWeight,
-)
+from .errors import BracketFailure, DomainError, NumericalError
 from .model import Branch, ModelParams
 
 __all__ = [
@@ -66,13 +58,19 @@ __all__ = [
     "neumann_eigenvalue_shooting",
     "lambda1_model",
     "symmetric_interval_length",
-    "fd_oracle_eigenvalue",
 ]
 
 _MAX_WIDEN = 40
 _MAX_ITER = 100
-# bound on the Pruefer angle's integration error, for the root certificate
+# The root certificate's bound on the Pruefer angle's integration error.
+# That error grows with the angle's sensitivity to lambda (up to 4e-8 on
+# n = 10 tanh intervals, where the angle moves by 1e-6 across the band),
+# so no one bound serves: it is the angle's change when integrated at
+# _ROUGH times the tolerance, and at least _ANGLE_ERR.  Each probe takes
+# its own: at the root itself the angle may jump by pi (an end next to a
+# tan pole).
 _ANGLE_ERR = 1e-12
+_ROUGH = 10.0
 
 # Green-operator levels: m = 32 cells only warm-starts the Romberg table,
 # which runs over m = 64, 128, ... up to the cap
@@ -179,12 +177,18 @@ def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
     # k to a tenth of the band, so the certificate probes clear the root
     k = brentq(f, lo, hi, xtol=0.05 * tol * lo, rtol=max(0.05 * tol, 1e-15),
                maxiter=_MAX_ITER)
-    # the band lam (1 -+ tol) around lam = k^2 must bracket the root
-    if not (f(k * math.sqrt(1.0 - tol)) < -_ANGLE_ERR
-            and f(k * math.sqrt(1.0 + tol)) > _ANGLE_ERR):
-        raise NumericalError(
-            f"eigenvalue {k * k!r} not certified to {tol:g}: the angle does "
-            f"not clear its error {_ANGLE_ERR:g} across the band")
+    # the band lam (1 -+ tol) around lam = k^2 must bracket the root: the
+    # angle at each end must clear its error there (see _ANGLE_ERR)
+    for side in (-1.0, 1.0):
+        kp = k * math.sqrt(1.0 + side * tol)
+        rough = model.prufer_angle(params, kp * kp, a, b,
+                                   tol=_ROUGH * model.ANGLE_TOL)
+        err = max(_ANGLE_ERR, abs(rough - 0.5 * math.pi - f(kp)))
+        if not side * f(kp) > err:
+            raise NumericalError(
+                f"eigenvalue {k * k!r} not certified to {tol:g}: the angle "
+                f"{f(kp):.3g} at lambda (1 {side:+g} tol) does not clear "
+                f"its error {err:.3g}")
     return k * k
 
 
@@ -370,50 +374,3 @@ def symmetric_interval_length(params: ModelParams,
         return full
     raise NumericalError(f"odd solution at lambda_bar {lambda_bar!r} does "
                          f"not turn before {hi!r}")
-
-
-# ---------------------------------------------------------------------------
-# Finite-volume oracle.
-#
-# Cells [a + i h, a + (i+1) h]; unknowns at cell centers.  Fluxes
-# mu w' are approximated at faces, with zero flux at the two boundary
-# faces (Neumann).  Rescaling by sqrt(mu_center) symmetrises the pencil
-# M w = lambda C w into an ordinary symmetric tridiagonal problem, whose
-# lowest two eigenvalues come from a Sturm-sequence bisection solver.
-# The lowest one is the discrete constant mode and must sit at zero.
-
-def fd_oracle_eigenvalue(query: EigenQuery, mesh_points: int,
-                         richardson: bool = False) -> float:
-    from scipy.linalg import eigh_tridiagonal
-
-    if mesh_points < 16:
-        raise MeshTooCoarse(f"need at least 16 cells, got {mesh_points}")
-    if richardson:
-        lam_m = fd_oracle_eigenvalue(query, mesh_points, False)
-        lam_2m = fd_oracle_eigenvalue(query, 2 * mesh_points, False)
-        return (4.0 * lam_2m - lam_m) / 3.0
-
-    params, a, b = query.params, query.a, query.b
-    h = (b - a) / mesh_points
-    centers = a + (np.arange(mesh_points) + 0.5) * h
-    faces = a + np.arange(mesh_points + 1) * h
-
-    mu_c = np.asarray(model.weight_mu(params, centers), dtype=float)
-    mu_f = np.asarray(model.weight_mu(params, faces), dtype=float)
-    mu_f[0] = 0.0
-    mu_f[-1] = 0.0
-    if np.any(mu_c <= 0.0) or np.any(~np.isfinite(mu_c)):
-        raise SingularWeight("weight vanishes or overflows at a cell center")
-
-    inv_h2 = 1.0 / (h * h)
-    diag = (mu_f[:-1] + mu_f[1:]) * inv_h2 / mu_c
-    off = -mu_f[1:-1] * inv_h2 / np.sqrt(mu_c[:-1] * mu_c[1:])
-
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1),
-                            eigvals_only=True)
-    lam0, lam1 = float(vals[0]), float(vals[1])
-    if abs(lam0) > 1e-8 * lam1:
-        raise MeshTooCoarse(
-            f"constant mode off zero ({lam0:.3e} vs lambda1 {lam1:.3e}); "
-            "refine the mesh")
-    return lam1

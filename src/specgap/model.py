@@ -26,36 +26,37 @@ Both integrations launch from w(a) = -1, w'(a) = 0, by a Frobenius
 series at a singular endpoint (tan's left pole, coth's origin), and
 follow the scaled Pruefer angle phi = atan2(k w, w'), k = sqrt(lambda),
 with the bounded equation phi' = k - T sin(2 phi) / 2 (Pruefer 1926;
-Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5);
+Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5),
+and the log-amplitude rho = ln(r / k), r^2 = k^2 w^2 + w'^2;
 w' = 0 where phi = pi/2 mod pi.
 
-* prufer_angle runs phi to a fixed end b with LSODA; phi(b) increases
+* prufer_angle runs the pair to a fixed end b; phi(b) increases
   strictly in lambda, so Neumann eigenvalues are roots of phi(b) - pi/2.
-* solve_ivp adds the log-amplitude rho = ln(r / k), r^2 = k^2 w^2 + w'^2,
-  and stops at the first w' zero, phi = pi/2, a distance d(a, T, lambda)
-  from a, where m = e^rho.  On tan it stops just short of the right
-  pole; no zero by then puts the maximum at the pole (d = inf).
+* solve_ivp stops at the first w' zero, phi = pi/2, a distance
+  d(a, T, lambda) from a, where m = e^rho.  On tan it stops just short
+  of the right pole; no zero by then puts the maximum at the pole
+  (d = inf).
 * odd_turn shoots the odd start w(0) = 0, w'(0) = 1 to the same event,
   w' = 0: half the length of the symmetric interval with that Neumann
   eigenvalue.  Its angle atan2(S w, w') takes the scale
   S = min(k, lambda) (see there).
 
-The shots are one scalar DOP853 (the _ode module): scipy's solve_ivp
-takes the same steps, but spends almost all of its time in numpy calls
-on the two-component state, and loading scipy at all costs more than a
-matching call.  _ode's step is straight-line float arithmetic, written
-out from the tableau when _ode is imported, so a step costs its twelve
-right-hand side calls and little else.  Like scipy, _ode is imported on
-first use: where no bytecode is cached, compiling it is a visible share
-of a process that shoots nothing, such as specgap sweep, and writing
-out the step adds about 2 ms to every import.
+All three are one scalar DOP853 (the _ode module), which stops where phi
+crosses pi/2 for the event shots and runs on to the end for the angle:
+scipy's solve_ivp takes the same steps, but spends almost all of its
+time in numpy calls on the two-component state, and loading scipy at all
+costs more than a matching call.  _ode's step is straight-line float
+arithmetic, written out from the tableau when _ode is imported, so a
+step costs its twelve right-hand side calls and little else.  _ode is
+imported on first use: where no bytecode is cached, compiling it is a
+visible share of a process that integrates nothing, such as specgap
+sweep, and writing out the step adds about 2 ms to every import.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -87,12 +88,13 @@ ATOL = 1e-10
 # keeps its relative accuracy while it is small
 ODD_RTOL = 1e-13
 
-# Pruefer angle controls (LSODA rtol = atol; the angle is O(1)).  About
-# the smallest tolerance LSODA accepts; the global angle error stays
-# below 1e-12 (eigen._ANGLE_ERR).  LSODA's default 500 steps do not reach
-# an end next to the tan pole.
-ANGLE_TOL = 1e-13
-_ANGLE_MXSTEP = 20000
+# prufer_angle's rtol = atol (the angle is O(1)).  At 3e-14 the
+# eigenvalue root certifies every interval of its accuracy study, within
+# 1.1e-11 of the oracles; at 1e-13 two long n = 10 tanh intervals of 32
+# did not certify.
+ANGLE_TOL = 3e-14
+
+_HALF_PI = 0.5 * math.pi
 
 # Distance (in units of 1/sqrt(Kbar)) kept between the integrator and the
 # tan-branch pole, where the drift blows up.
@@ -105,20 +107,13 @@ _DEFAULT_HORIZON = 1e3
 _CERT_WINDOW = 50.0
 
 
-def _scipy_odeint(*args, **kwargs):
-    """scipy.integrate.odeint, imported on the first call (scipy is not
-    loaded with the package); tests and the benchmark tracer replace it."""
-    from scipy.integrate import odeint
-    return odeint(*args, **kwargs)
-
-
 def _scipy_solve_ivp(*args, **kwargs):
-    """The event shot, _ode.shoot (the Shot it returns carries nfev).
+    """One integration, _ode.shoot (the Shot it returns carries nfev).
 
-    Every shot goes through this one module binding, under the name it
-    had when the shot was scipy's solve_ivp: bench/spans.py wraps it by
-    that name to count solves and right-hand side evaluations, and the
-    tests count calls through it.
+    Every event shot and every Pruefer angle goes through this one module
+    binding, under the name it had when the shot was scipy's solve_ivp:
+    bench/spans.py wraps it by that name to count solves and right-hand
+    side evaluations, and the tests count calls through it.
     """
     from . import _ode
     return _ode.shoot(*args, **kwargs)
@@ -309,43 +304,7 @@ def _drift(params: ModelParams, lib=math):
 
 
 # ---------------------------------------------------------------------------
-# The scaled Pruefer angle to a fixed end.
-
-def prufer_angle(params: ModelParams, lam: float, a: float,
-                 b: float) -> float:
-    """phi(b) for phi = atan2(sqrt(lam) w, w') of the solution launched at a.
-
-    The launch is w = -1, w' = 0 (phi = -pi/2, by the Frobenius series at
-    a singular left end).  phi' = sqrt(lam) - T sin(2 phi) / 2 is
-    integrated by LSODA up to b; no step passes b, which may lie next to
-    a pole.
-    """
-    k = math.sqrt(lam)
-    t0, phi0, _, _ = _launch(params, lam, a)
-    if not (t0 <= b):
-        raise DomainError(f"launch point {t0} beyond the end {b}")
-    if t0 == b:
-        return phi0
-    from scipy.integrate import ODEintWarning
-
-    T = _drift(params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)  # read from info
-        out, info = _scipy_odeint(
-            lambda t, y: k - 0.5 * T(t) * math.sin(2.0 * y[0]),
-            phi0, (t0, b), tfirst=True, tcrit=(b,), rtol=ANGLE_TOL,
-            atol=ANGLE_TOL, mxstep=_ANGLE_MXSTEP, full_output=True)
-    # a failed run stops short of b, and at a huge lam LSODA may report
-    # success without leaving t0: demand the end
-    t_end = float(info["tcur"][-1])
-    if b - t_end > 1e-9 * (b - t0) or not math.isfinite(out[-1, 0]):
-        raise IntegrationFailure(f"angle integration stopped at t = "
-                                 f"{t_end!r} short of {b!r}: {info['message']}")
-    return float(out[-1, 0])
-
-
-# ---------------------------------------------------------------------------
-# The event shot to the first w' zero.
+# The Pruefer pair (phi, rho): to a fixed end, and to the first w' zero.
 
 def _pruefer_rhs(params: ModelParams, lam: float):
     """(phi', rho') = (k - T sin(phi) cos(phi), T cos(phi)^2) at (t, phi)."""
@@ -355,6 +314,27 @@ def _pruefer_rhs(params: ModelParams, lam: float):
         Tt, c = T(t), math.cos(phi)
         return k - Tt * math.sin(phi) * c, Tt * c * c
     return rhs
+
+
+def prufer_angle(params: ModelParams, lam: float, a: float, b: float,
+                 tol: float = ANGLE_TOL) -> float:
+    """phi(b) for phi = atan2(sqrt(lam) w, w') of the solution launched at a.
+
+    The launch is w = -1, w' = 0 (phi = -pi/2, by the Frobenius series at
+    a singular left end).  solve_ivp's pair (phi, rho) is integrated to b
+    at rtol = atol = tol, with no stop at pi/2 and the last step ending on
+    b, which may lie next to a pole.  rho is not read.  It is carried
+    because DOP853's error estimate of phi alone can vanish within a step
+    whose error is some 30 times the tolerance; from tan's left pole that
+    left phi(b) up to 3e-12 off at tol 3e-14.
+    """
+    t0, phi0, rho0, _ = _launch(params, lam, a)
+    if not (t0 <= b):
+        raise DomainError(f"launch point {t0} beyond the end {b}")
+    if t0 == b:
+        return phi0
+    return _scipy_solve_ivp(_pruefer_rhs(params, lam), t0, phi0, rho0, b,
+                            math.inf, tol, tol).phi
 
 
 @dataclass
@@ -456,8 +436,8 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     rhs = _pruefer_rhs(params, lambda_bar)
 
     def shoot(dense_output=False):
-        return _scipy_solve_ivp(rhs, t0, phi0, rho0, t_cap, RTOL, ATOL,
-                                dense_output)
+        return _scipy_solve_ivp(rhs, t0, phi0, rho0, t_cap, _HALF_PI, RTOL,
+                                ATOL, dense_output)
 
     shot = shoot()
     t_end, phi, rho = shot.t, shot.phi, shot.rho
@@ -511,7 +491,7 @@ def odd_turn(params: ModelParams, lam: float, t_cap: float) -> float | None:
         s, c = math.sin(phi), math.cos(phi)
         return S * c * c + q * s * s - T(t) * s * c, 0.0
 
-    shot = _scipy_solve_ivp(rhs, 0.0, 0.0, 0.0, t_cap, ODD_RTOL,
+    shot = _scipy_solve_ivp(rhs, 0.0, 0.0, 0.0, t_cap, _HALF_PI, ODD_RTOL,
                             1e-3 * ODD_RTOL * S)
     return shot.t if shot.event else None
 

@@ -18,7 +18,6 @@ from specgap.auxfunc import (
 from specgap.bounds import shi_zhang, yang
 from specgap.eigen import (
     EigenQuery,
-    fd_oracle_eigenvalue,
     lambda1_model,
     neumann_eigenvalue_shooting,
 )
@@ -37,6 +36,8 @@ from specgap.model import (
     solve_ivp,
 )
 from specgap.perturbation import perturbed_params, verify_conditions
+
+from fd_oracle import fd_oracle_eigenvalue
 
 GRID_N = (3, 4, 5)
 GRID_K = (-1.0, 0.0, 1.0)

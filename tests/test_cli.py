@@ -149,6 +149,32 @@ def test_sweep_and_bound_load_no_scipy(tmp_path):
     assert res.stdout.count("\n") >= 45 + 1 + 4
 
 
+_NO_SCIPY_EIGEN = """
+import math, sys
+from specgap.eigen import EigenQuery, neumann_eigenvalue_shooting
+from specgap.model import Branch, ModelParams
+for params, a, b in ((ModelParams(3, 1, Branch.TAN), -0.2, math.pi / 2),
+                     (ModelParams(3, -1, Branch.COTH), 0.0, 1.8),
+                     (ModelParams(3, -1, Branch.TANH), -0.6, 1.6)):
+    print(neumann_eigenvalue_shooting(EigenQuery(params, a, b)))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_asymmetric_eigenvalues_load_no_scipy():
+    # the Pruefer-angle root in a fresh interpreter: a tan interval ending
+    # at the right pole, a coth one starting at the origin, a tanh one
+    src = os.path.dirname(os.path.dirname(specgap.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_EIGEN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("\n") == 3
+
+
 def test_match_target_twelve_decades_down(runner):
     # the first-maximum shot keeps m's relative accuracy, so a target of
     # 1e-12 is matched, and m at the returned start meets the closed form

@@ -16,12 +16,13 @@ from specgap.errors import (DomainError, MeshTooCoarse, NumericalError,
                             SpecgapError)
 from specgap.eigen import (
     EigenQuery,
-    fd_oracle_eigenvalue,
     lambda1_model,
     neumann_eigenvalue_shooting,
     symmetric_interval_length,
 )
 from specgap.model import Branch, ModelParams, branch_for_curvature
+
+from fd_oracle import fd_oracle_eigenvalue
 
 # frozen after cross-validation against the finite-difference oracle
 # (Richardson 1024/2048 gives 8.93166014856054, rel gap 3.0e-11)
@@ -173,15 +174,16 @@ def test_lambda1_below_float_range_is_typed(D):
 
 @pytest.fixture
 def integrator_calls(monkeypatch):
-    """Counts the calls of both model-ODE integrators (the Pruefer angle's
-    and the event shot's)."""
+    """Counts the calls of the one model-ODE integrator binding, which
+    every Pruefer angle and every shot goes through."""
     count = [0]
-    for name in ("_scipy_odeint", "_scipy_solve_ivp"):
-        def counted(*args, _integrate=getattr(model, name), **kwargs):
-            count[0] += 1
-            return _integrate(*args, **kwargs)
+    integrate = model._scipy_solve_ivp
 
-        monkeypatch.setattr(model, name, counted)
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_scipy_solve_ivp", counted)
     return count
 
 
@@ -336,6 +338,54 @@ def test_pole_launch_matches_n3_closed_form_coth(b):
     p = ModelParams(3.0, -1.0, Branch.COTH)
     lam = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
     assert lam == pytest.approx(k * k + 1.0, rel=1e-8)
+
+
+def _flux_form_eigenvalue(n, K, a, b, lo, hi):
+    """A Neumann eigenvalue in [lo, hi] of the tanh model on [a, b] from
+    the flux F = mu w': w' = F / mu, F' = -lam mu w, w(a) = 1, F(a) = 0,
+    by scipy's DOP853, as Brent's root of F(b) in lam.  Returns it with
+    the number of sign changes of its eigenfunction (one for lambda_1).
+    Neither the Pruefer angle nor the package's integrator is involved."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    s, n1 = math.sqrt(-K), n - 1.0
+
+    def shot(lam):
+        def rhs(t, y):
+            mu = math.cosh(s * t) ** n1
+            return y[1] / mu, -lam * mu * y[0]
+        return scipy_solve_ivp(rhs, (a, b), [1.0, 0.0], method="DOP853",
+                               rtol=1e-13, atol=1e-16, dense_output=True)
+
+    lam = brentq(lambda lam: shot(lam).y[1, -1], lo, hi, xtol=1e-300,
+                 rtol=8.9e-16)
+    w = shot(lam).sol(np.linspace(a, b, 2001))[0]
+    return lam, int(np.count_nonzero(np.diff(np.sign(w))))
+
+
+@pytest.mark.parametrize("a,b,lam", [(-1.863, 2.082, 2.45e-4),
+                                     (-1.55, 2.747, 2.79e-3)])
+def test_long_asymmetric_tanh_n10_meets_flux_form(a, b, lam):
+    # the angle at b is nearly flat in lambda on the first (it moves by
+    # 1.3e-12 across lambda (1 -+ 1e-10)) and steep on the second, where
+    # an angle run by scipy's LSODA put lambda_1 3.3e-10 and 1.2e-10 off
+    want, zeros = _flux_form_eigenvalue(10.0, -1.0, a, b, 0.8 * lam,
+                                        1.2 * lam)
+    assert zeros == 1
+    p = ModelParams(10.0, -1.0, Branch.TANH)
+    got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
+    assert abs(got / want - 1.0) <= 1e-10
+
+
+def test_prufer_root_certifies_next_to_the_tan_pole():
+    # the angle at an end 1e-6 short of the pole jumps by pi at the root,
+    # so the certificate must take the angle's error at each probe, not
+    # at the root; the Green route on the same interval is the reference
+    K = 2.0
+    D = math.pi / math.sqrt(K) * (1.0 - 1e-6)
+    p = ModelParams(10.0, K, Branch.TAN)
+    got = eigen._prufer_eigenvalue(p, -D / 2, D / 2, 1e-10)
+    assert abs(got / lambda1_model(10.0, K, D) - 1.0) <= 1e-10
 
 
 def test_coth_interval_dominates_central_even_family():
