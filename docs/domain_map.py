@@ -1,4 +1,5 @@
-"""Write docs/domain.md: where lambda1(n, K, D) is trusted.
+"""Write docs/domain.md: where lambda1(n, K, D) and the eigenvalues of
+asymmetric intervals are trusted.
 
     PYTHONPATH=src python docs/domain_map.py
 
@@ -25,6 +26,27 @@ reference), "typed error" (a SpecgapError), "unchecked" (no reference)
 or SILENT MISS.  The grid is n in {1.5, 2, 3, 4, 5, 10}, K from -4 to 2,
 and 10 log-spaced D from 0.05 up to 1e-6 short of the closing diameter
 pi/sqrt(K) (K > 0), |K| D^2 = 1e3 (K < 0) or 30 (K = 0).
+
+On asymmetric intervals it runs the flux operator (eigen._flux_eigenvalue)
+and the Pruefer root on every point, and names the one
+neumann_eigenvalue_shooting takes.  The points (seeded draws):
+
+* the six interval kinds of the singular benchmark, 8 draws each;
+* 72 long (3, -1) intervals of length 4.5 to 8, 36 tanh with a in
+  [-2, 0] and 36 coth with a in [0, 1];
+* 32 (10, -1) tanh intervals, [-1.863, 2.082], [-1.55, 2.747] and 30
+  with a in [-2, -0.3] and b in [0.5, 3];
+* tan intervals at the left and the right pole and coth ones at the
+  origin, and the same 1e-6 and 1e-3 away, for n in {1.5, 2, 2.5, 3,
+  4.5};
+* three long (3, -1) intervals near the essential threshold.
+
+References: for n = 3 the closed form on [a, b] (n3_interval); for the
+(10, -1) intervals a flux-form shot w' = F / mu, F' = -lambda mu w,
+w(a) = 1, F(a) = 0 by scipy's DOP853 at rtol 1e-13, with lambda_1 the
+root of F(b) whose w changes sign once; otherwise the Pruefer root where
+it certifies, else none.  bench/reference.lambda1_interval is not used:
+its scan steps over lambda_1 where lambda_2 / lambda_1 < 1.25.
 """
 
 from __future__ import annotations
@@ -38,9 +60,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from specgap.eigen import _prufer_eigenvalue, lambda1_model
+from specgap.eigen import (EigenQuery, _flux_eigenvalue, _prufer_eigenvalue,
+                           _prufer_route, lambda1_model)
 from specgap.errors import SpecgapError
-from specgap.model import ModelParams, branch_for_curvature
+from specgap.model import Branch, ModelParams, branch_for_curvature
 
 TOL = 1e-10
 DIMS = (1.5, 2.0, 3.0, 4.0, 5.0, 10.0)
@@ -102,6 +125,155 @@ def flux_form(n: float, K: float, D: float, guess: float) -> float:
     while h(hi) < 0.0:
         hi += 0.05
     return math.exp(brentq(h, lo, hi, xtol=1e-14, rtol=1e-15))
+
+
+def n3_interval(K: float, branch: str, a: float, b: float):
+    """lambda_1 of the n = 3 model on [a, b] from the closed form, or None.
+
+    With mu = g^2 (g = cos, cosh or sinh of sqrt|K| t), w = u / g turns
+    the ODE into u'' + (lambda + K) u = 0, and from w'(a) = 0 (u = g,
+    u' = g' at a) the Neumann end b is a root of the flux g u' - g' u in
+    lambda.  Below the essential threshold -K (K < 0) at most one root
+    lies (u then has at most one zero), so a geometric scan there cannot
+    step over two; above it the scan is linear in k = sqrt(lambda + K)
+    by a sixteenth of pi / (b - a), the spacing of the roots in k.  The
+    first root, by bisection, is lambda_1 only if its w changes sign
+    once; otherwise None.
+    """
+    g, dg = {"tan": (mp.cos, lambda z: -mp.sin(z)),
+             "tanh": (mp.cosh, mp.sinh), "coth": (mp.sinh, mp.cosh)}[branch]
+    with mp.workdps(40 + int(math.sqrt(abs(K)) * (b - a))):
+        s, a, b = mp.sqrt(abs(mp.mpf(K))), mp.mpf(a), mp.mpf(b)
+        ga, dga = g(s * a), s * dg(s * a)
+        gb, dgb = g(s * b), s * dg(s * b)
+
+        def u(lam, t):
+            k, tau = mp.sqrt(mp.mpc(lam + K)), t - a
+            return (mp.re(ga * mp.cos(k * tau) + dga * mp.sin(k * tau) / k),
+                    mp.re(dga * mp.cos(k * tau) - ga * k * mp.sin(k * tau)))
+
+        def flux(lam):
+            ub, dub = u(lam, b)
+            return (gb * dub - dgb * ub) / lam
+
+        def scan():
+            lam = mp.mpf(10) ** -40 * (1 + abs(K))
+            while K < 0 and lam < -K:
+                yield lam
+                lam *= 2
+            k, dk = mp.sqrt(max(lam + K, 0)), mp.pi / (16 * (b - a))
+            for _ in range(4000):
+                k += dk
+                yield k * k - K
+
+        prev = f_prev = None
+        for lam in scan():
+            f = flux(lam)
+            if prev is not None and f * f_prev <= 0:
+                break
+            prev, f_prev = lam, f
+        else:
+            return None
+        lo, hi = prev, lam
+        while hi - lo > mp.mpf(10) ** -20 * hi:  # bisection: flux varies
+            mid = (lo + hi) / 2                   # over decades in lambda
+            if flux(mid) * f_prev > 0:
+                lo = mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        w = [u(root, t)[0] / g(s * t) for t in mp.linspace(a, b, 2003)[1:-1]]
+        if sum(x * y < 0 for x, y in zip(w, w[1:])) != 1:
+            return None
+        return float(root)
+
+
+def flux_shot_tanh(n: float, K: float, a: float, b: float, guess: float):
+    """tanh branch: the root of F(b) in [0.8, 1.2] guess from the
+    flux-form shot, if its w changes sign once; otherwise None."""
+    s, n1 = math.sqrt(-K), n - 1.0
+
+    def shot(lam):
+        def rhs(t, y):
+            mu = math.cosh(s * t) ** n1
+            return y[1] / mu, -lam * mu * y[0]
+        return solve_ivp(rhs, (a, b), [1.0, 0.0], method="DOP853",
+                         rtol=1e-13, atol=1e-16, dense_output=True)
+
+    try:
+        lam = brentq(lambda lam: shot(lam).y[1, -1], 0.8 * guess,
+                     1.2 * guess, xtol=1e-300, rtol=8.9e-16)
+    except ValueError:
+        return None
+    w = shot(lam).sol(np.linspace(a, b, 2001))[0]
+    return lam if np.count_nonzero(np.diff(np.sign(w))) == 1 else None
+
+
+def asymmetric_points():
+    """(set, params, a, b) of the asymmetric map (module docstring)."""
+    rng = np.random.default_rng(18)
+    half_pi = math.pi / 2
+    tan = ModelParams(3.0, 1.0, Branch.TAN)
+    coth = ModelParams(3.0, -1.0, Branch.COTH)
+    tanh = ModelParams(3.0, -1.0, Branch.TANH)
+    for _ in range(8):
+        yield "singular", tan, rng.uniform(-1.0, -0.6), rng.uniform(0.9, 1.1)
+        yield "singular", tan, -half_pi, rng.uniform(0.2, 0.4)
+        yield "singular", tan, rng.uniform(-0.3, 0.0), half_pi
+        yield "singular", coth, 0.0, rng.uniform(1.6, 2.0)
+        yield "singular", coth, rng.uniform(0.3, 0.6), rng.uniform(2.0, 2.4)
+        yield "singular", tanh, rng.uniform(-0.8, -0.4), rng.uniform(1.4, 1.8)
+    for params, lo, hi in ((tanh, -2.0, 0.0), (coth, 0.0, 1.0)):
+        for _ in range(36):
+            a = rng.uniform(lo, hi)
+            yield "long", params, a, a + rng.uniform(4.5, 8.0)
+    n10 = ModelParams(10.0, -1.0, Branch.TANH)
+    yield "n = 10", n10, -1.863, 2.082
+    yield "n = 10", n10, -1.55, 2.747
+    for _ in range(30):
+        yield "n = 10", n10, rng.uniform(-2.0, -0.3), rng.uniform(0.5, 3.0)
+    for n in (1.5, 2.0, 2.5, 3.0, 4.5):
+        tan_n = ModelParams(n, 1.0, Branch.TAN)
+        coth_n = ModelParams(n, -1.0, Branch.COTH)
+        for off in (0.0, 1e-6, 1e-3):
+            for b in (-1.2, 0.0, 1.3):
+                yield "pole", tan_n, -half_pi + off, b
+            yield "pole", tan_n, -0.5, half_pi - off
+            for b in (0.3, 1.0, 2.5):
+                yield "pole", coth_n, off, b
+    for a, b in ((-10.0, 30.0), (-1.0, 60.0)):
+        yield "threshold", tanh, a, b
+    yield "threshold", coth, 0.0, 40.0
+
+
+def asymmetric_rows():
+    rows = []
+    for name, params, a, b in asymmetric_points():
+        n, K, branch = params.dim, params.curv, params.branch
+        if branch is Branch.TAN and b == params.domain().hi:
+            a, b = -b, -a  # what neumann_eigenvalue_shooting runs
+        EigenQuery(params, a, b)  # a valid query
+        flux = attempt(lambda: _flux_eigenvalue(params, a, b, TOL))
+        prufer = attempt(lambda: _prufer_eigenvalue(params, a, b, TOL))
+        route = "Pruefer" if _prufer_route(params, a, b) else "flux"
+        if n == 3:
+            ref, source = n3_interval(K, branch.value, a, b), "closed form"
+        elif branch is Branch.TANH:
+            seed = prufer if isinstance(prufer, float) else flux
+            ref = (flux_shot_tanh(n, K, a, b, seed)
+                   if isinstance(seed, float) else None)
+            source = "flux shot"
+        elif isinstance(prufer, float):
+            ref, source = prufer, "Pruefer"
+        else:
+            ref = None
+        if ref is None:
+            source = "none"
+        v_flux = verdict(flux, ref)
+        v_prufer = verdict(prufer, None if source == "Pruefer" else ref)
+        rows.append((name, params, a, b, flux, prufer, ref, source, route,
+                     v_flux, v_prufer, v_flux if route == "flux" else v_prufer))
+    return rows
 
 
 def attempt(fn):
@@ -180,11 +352,44 @@ def main() -> None:
                      f"| {text(green)} | {text(prufer)} "
                      f"| {'-' if ref is None else text(ref)} | {source} "
                      f"| {v1} | {v2} |")
+    asym = asymmetric_rows()
+    lines += [
+        "",
+        "## Asymmetric intervals",
+        "",
+        "`flux` is the flux operator and `Pruefer` the Pruefer-angle root,",
+        "each run on every point; `route` is the one",
+        "`neumann_eigenvalue_shooting` takes (a tan interval ending at the",
+        "right pole is listed as its mirror image, which it runs), and its",
+        "verdict is that route's.  Where the Pruefer root is the",
+        "reference itself, its verdict is `unchecked`.",
+        "",
+        "| column | " + " | ".join(kinds) + " |",
+        "|---|" + "---|" * len(kinds),
+    ]
+    for col, label in ((9, "flux"), (10, "Pruefer"), (11, "route")):
+        lines.append(f"| {label} | " + " | ".join(
+            str(sum(r[col] == k for r in asym)) for k in kinds) + " |")
+    lines += [
+        "",
+        "| set | n | K | branch | a | b | flux | Pruefer | reference "
+        "| source | route | flux verdict | Pruefer verdict | route verdict |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+    ]
+    for (name, params, a, b, flux, prufer, ref, source, route, v1, v2,
+         v3) in asym:
+        lines.append(
+            f"| {name} | {params.dim:g} | {params.curv:g} "
+            f"| {params.branch.value} | {a:.6g} | {b:.6g} | {text(flux)} "
+            f"| {text(prufer)} | {'-' if ref is None else text(ref)} "
+            f"| {source} | {route} | {v1} | {v2} | {v3} |")
     with open(OUT, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {OUT} in {time.perf_counter() - start:.0f} s: "
           f"{len(rows)} points, Green " + ", ".join(
-              f"{count(7, k)} {k}" for k in kinds))
+              f"{count(7, k)} {k}" for k in kinds) + f"; {len(asym)} "
+          "asymmetric points, route " + ", ".join(
+              f"{sum(r[11] == k for r in asym)} {k}" for k in kinds))
 
 
 if __name__ == "__main__":

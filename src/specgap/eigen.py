@@ -1,15 +1,19 @@
 """Neumann eigenvalues of the one-dimensional comparison models.
 
-Three routes, chosen by the interval:
+Four routes, chosen by the interval:
 
 * closed forms: pi^2/L^2 on the zero branch (weight 1) and N Kbar on the
   full tan domain (the round sphere);
 * power iteration on the Green operator of the odd half problem, for
   symmetric intervals of the even branches (tan, tanh), so for
-  lambda1_model: pure numpy, no integrator, no root find;
-* shooting on the scaled Pruefer angle for every other interval.
+  lambda1_model;
+* shooting on the scaled Pruefer angle where N is not an integer and an
+  end lies at or next to a pole (tan's, coth's origin);
+* power iteration on the Green operator of the flux for every other
+  interval.
 
-On a symmetric interval [-L, L] with an even weight the first
+The two operator routes are pure numpy, with no integrator and no root
+find.  On a symmetric interval [-L, L] with an even weight the first
 nontrivial eigenfunction is odd, so it solves the half problem on
 [0, L] with w(0) = 0 and zero flux mu w' at L.  Its Green operator
 
@@ -19,13 +23,29 @@ has a nonnegative kernel, self-adjoint in L^2(mu), so its top
 eigenvalue 1/lambda_1 has a positive eigenfunction and power iteration
 never subtracts: the smallest lambda_1 keeps full relative accuracy
 (Jentzsch's theorem, the Perron-Frobenius theorem for integral kernels).
-Each mesh level applies G by two cumulative trapezoid sums and iterates
-until the Collatz-Wielandt bracket min_i (Gv)_i / v_i <= 1/lambda <=
-max_i (Gv)_i / v_i closes; the mesh error expands in even powers of the
-step, which a Romberg table over the levels removes.  A value is
-returned only when successive extrapolants agree within the tolerance;
-otherwise NumericalError is raised, near a tan pole with N < 3 for
-example, where the weight is not smooth enough for the expansion.
+On any interval [a, b] the first nontrivial eigenfunction is monotone
+(the gradient comparison of Kroeger and Bakry-Qian), so its flux
+F = mu w' has one sign and solves the Dirichlet problem
+-(F'/mu)' = lambda F / mu, F(a) = F(b) = 0.  On y = w' = F / mu its
+Green operator is
+
+    A y(t) = [Q(t) int_a^t P y + P(t) int_t^b Q y] / (P(b) mu(t)),
+
+P(t) = int_a^t mu and Q(t) = int_t^b mu, again nonnegative and
+self-adjoint in L^2(mu), with top eigenvalue 1/lambda_1; y vanishes at
+both ends, at a pole too, where P / mu -> 0.  Each mesh level applies the
+operator by cumulative trapezoid sums and iterates until the
+Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
+max_i (Av)_i / v_i closes.  Where lambda_2 / lambda_1 is close to 1
+(long intervals just above the essential threshold) a Ritz step on a
+Krylov space restarts the iteration; it need not be positive, so power
+steps polish it before the bracket counts.  The mesh error expands in
+even powers of the step, which a Romberg table over the levels removes.
+A value is returned only when successive extrapolants agree within the
+tolerance; otherwise NumericalError is raised, near a tan pole with
+N < 2 for example, where mu ~ s^(N-1) in the distance s to the pole is
+not smooth enough for the expansion.  That is why such intervals keep
+the Pruefer root where an end is a pole or next to one.
 
 Shooting follows the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
 (model.prufer_angle, on the DOP853 of every shot) to the far end of the
@@ -72,12 +92,20 @@ _MAX_ITER = 100
 _ANGLE_ERR = 1e-12
 _ROUGH = 10.0
 
-# Green-operator levels: m = 32 cells only warm-starts the Romberg table,
+# Green-operator levels: m = 32 cells only starts the Romberg table,
 # which runs over m = 64, 128, ... up to the cap
 _MESH_START = 32
 _MESH_CAP = 2 ** 16
 _WARM_BRACKET = 1e-4
-_POWER_STEPS = 100
+_POWER_STEPS = 400
+# Ritz steps (_top_eigenvalue): from _KRYLOV vectors, one every _POLISH
+# power steps from step _RITZ_AFTER of a level on
+_KRYLOV = 20
+_POLISH = 4
+_RITZ_AFTER = 24
+# A non-integer N keeps the Pruefer root where an end lies within
+# _POLE_NEAR interval lengths of a pole (_prufer_route)
+_POLE_NEAR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -118,10 +146,11 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     """First nontrivial Neumann eigenvalue, certified to query.tol.
 
     Closed forms on the zero branch and the full tan domain, the Green
-    operator on a symmetric interval, otherwise a Brent root in
-    k = sqrt(lam) of the Pruefer angle at the far end less pi/2 (see the
-    module docstring).  Raises NumericalError when the value cannot be
-    certified to query.tol.
+    operator of the odd half problem on a symmetric interval, the Brent
+    root of the Pruefer angle where N is not an integer and an end lies
+    at or next to a pole, the flux operator on every other interval (see
+    the module docstring).  Raises NumericalError when the value cannot
+    be certified to query.tol.
     """
     params, L = query.params, query.length
     flat = zhong_yang(L)  # pi^2/L^2, or DomainError for a too short L
@@ -134,15 +163,30 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
         return _green_eigenvalue(params, 0.5 * L, query.tol)
     a, b = query.a, query.b
     if tan and b == params.domain().hi:
-        a, b = -b, -a  # the even weight mirrors it onto a left-pole launch
-    return _prufer_eigenvalue(params, a, b, query.tol)
+        a, b = -b, -a  # the even weight mirrors it onto the left pole
+    if _prufer_route(params, a, b):
+        return _prufer_eigenvalue(params, a, b, query.tol)
+    return _flux_eigenvalue(params, a, b, query.tol)
+
+
+def _prufer_route(params: ModelParams, a: float, b: float) -> bool:
+    """Whether [a, b] takes the Pruefer root: N is not an integer and an
+    end lies within _POLE_NEAR (b - a) of a pole.  There mu ~ s^(N-1) in
+    the distance s to the pole, whose trapezoid errors do not expand in
+    even powers of the step: for N < 2 the Romberg table does not settle
+    within about 1e-4 (b - a) of the pole."""
+    if float(params.dim).is_integer():
+        return False
+    dom, near = params.domain(), _POLE_NEAR * (b - a)
+    return ((dom.lo_singular and a - dom.lo <= near)
+            or (dom.hi_singular and dom.hi - b <= near))
 
 
 def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
                        tol: float) -> float:
     """Brent root in k = sqrt(lam) of the Pruefer angle at b less pi/2,
-    launched at a, for any interval (docs/domain_map.py also runs it on
-    symmetric ones)."""
+    launched at a, for any interval (docs/domain_map.py and the tests also
+    run it where the operator routes serve, as an independent method)."""
     from ._ode import brentq
 
     L = b - a
@@ -193,104 +237,207 @@ def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# Symmetric intervals: power iteration on the Green operator of the odd
-# half problem (module docstring), in x = t / L on [0, 1] with the
-# nodes x_i = i / m.
+# Positive Green operators (module docstring), in x on [0, 1] with the
+# nodes x_i = i / m: the odd half problem of a symmetric interval and
+# the flux problem of any other.  Each level is a function of the nodes
+# and half the step that returns the operator's application and the
+# weight mu / c (c a constant that keeps it in range) in whose inner
+# product the operator is symmetric.
 
 def _log_weight(params: ModelParams, t):
-    """log mu(t) for t >= 0 on the tan (short of the pole) and tanh
-    branches; log cosh z = z + log1p(e^-2z) - log 2 cannot overflow."""
+    """log mu(t) on the tan, tanh and coth branches.  On tan the cosine
+    is taken by magnitude, as it can round below zero at a pole;
+    log cosh z = |z| + log1p(e^-2|z|) - log 2 cannot overflow, and
+    log sinh z = z + log(-expm1(-2z)) - log 2 is -inf at the origin."""
     n1, z = params.dim - 1.0, params.scale * t
     if params.branch is Branch.TAN:
-        return n1 * np.log(np.cos(z))
-    return n1 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
+        return n1 * np.log(np.abs(np.cos(z)))
+    if params.branch is Branch.TANH:
+        z = np.abs(z)
+        return n1 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
+    with np.errstate(divide="ignore"):
+        return n1 * (z + np.log(-np.expm1(-2.0 * z)) - math.log(2.0))
+
+
+def _cumtrap(g, hh):
+    """Trapezoid integrals of g from the first node to each node; hh is
+    half the step."""
+    out = np.zeros_like(g)
+    out[1:] = np.cumsum(hh * (g[1:] + g[:-1]))
+    return out
+
+
+def _rcumtrap(g, hh):
+    """Trapezoid integrals of g from each node to the last one: summed
+    from that end, so that each keeps its relative accuracy."""
+    out = np.zeros_like(g)
+    out[:-1] = np.cumsum((hh * (g[1:] + g[:-1]))[::-1])[::-1]
+    return out
 
 
 def _green_apply(v, p, q, hh):
     """G v on the unit half interval: the inner integral from the
-    zero-flux end, the outer one from w(0) = 0, both by cumulative
-    trapezoid sums (hh is half the step).  p = mu / c and q = c / mu at
-    the nodes, for a constant c that keeps both in range."""
-    g = p * v
-    inner = np.zeros_like(v)
-    inner[:-1] = np.cumsum((hh * (g[1:] + g[:-1]))[::-1])[::-1]
-    j = q * inner
-    w = np.zeros_like(v)
-    w[1:] = np.cumsum(hh * (j[1:] + j[:-1]))
-    return w
+    zero-flux end, the outer one from w(0) = 0.  p = mu / c and q = c / mu
+    at the nodes."""
+    return _cumtrap(q * _rcumtrap(p * v, hh), hh)
 
 
-def _refine(v):
+def _flux_apply(y, P, Q, q, hh):
+    """A y on the unit interval: P and Q are the integrals of mu / c from
+    each end, and q = c / (mu P(1)) is 0 at both ends, where y vanishes."""
+    return q * (Q * _cumtrap(P * y, hh) + P * _rcumtrap(Q * y, hh))
+
+
+def _half_level(params: ModelParams, half: float):
+    def level(x, hh):
+        lm = _log_weight(params, half * x)
+        top = float(np.max(lm))
+        p, q = np.exp(lm - top), np.exp(top - lm)
+        return (lambda v: _green_apply(v, p, q, hh)), p
+    return level
+
+
+def _flux_level(params: ModelParams, a: float, b: float):
+    def level(x, hh):
+        t = a + (b - a) * x
+        t[-1] = b
+        lm = _log_weight(params, t)
+        top = float(np.max(lm))
+        p = np.exp(lm - top)
+        P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
+        q = np.zeros_like(p)
+        q[1:-1] = np.exp(top - lm[1:-1]) / P[-1]
+        return (lambda y: _flux_apply(y, P, Q, q, hh)), p
+    return level
+
+
+def _refine(v, closed: bool):
     """v on the mesh of half the step: midpoints by four-point cubic
-    interpolation, through the odd reflection at 0 and the even one at
-    the zero-flux end."""
-    ext = np.concatenate(([-v[1]], v, [v[-2]]))
+    interpolation, through the odd reflection at 0, where v vanishes, and
+    at the far end the odd one where v vanishes there too (closed) or the
+    even one (zero flux)."""
+    ext = np.concatenate(([-v[1]], v, [-v[-2] if closed else v[-2]]))
     out = np.empty(2 * v.size - 1)
     out[0::2] = v
     out[1::2] = (9.0 * (ext[1:-2] + ext[2:-1]) - ext[:-3] - ext[3:]) / 16.0
     return out
 
 
-def _top_eigenvalue(v, p, q, hh, bracket: float):
-    """Power iteration from v > 0 (v[0] = 0) until the Collatz-Wielandt
-    bracket on the top eigenvalue of G is within the relative width
-    bracket.  Returns its midpoint and the last iterate."""
-    for _ in range(_POWER_STEPS):
-        w = _green_apply(v, p, q, hh)
-        ratio = w[1:] / v[1:]
-        lo, hi = float(np.min(ratio)), float(np.max(ratio))
-        v = w / w[-1]
-        if hi - lo <= bracket * hi:
-            return 0.5 * (lo + hi), v
+def _ritz(v, apply, p, inner):
+    """Rayleigh-Ritz step from v: the top Ritz vector of the operator on
+    the Krylov space of _KRYLOV vectors from v, built by Lanczos with
+    full reorthogonalisation in z = sqrt(p) v, where the operator is
+    symmetric.  It is only a start for power steps."""
+    s = np.sqrt(p[inner])
+    basis = np.empty((_KRYLOV, s.size))
+    images = np.empty_like(basis)
+    z = s * v[inner]
+    basis[0] = z / np.linalg.norm(z)
+    y = np.zeros_like(v)
+    for j in range(_KRYLOV):
+        y[inner] = basis[j] / s
+        images[j] = s * apply(y)[inner]
+        if j + 1 < _KRYLOV:
+            w = images[j]
+            for _ in range(2):
+                w = w - basis[:j + 1].T @ (basis[:j + 1] @ w)
+            basis[j + 1] = w / np.linalg.norm(w)
+    h = basis @ images.T
+    z = np.linalg.eigh(0.5 * (h + h.T))[1][:, -1] @ basis
+    z /= z[np.argmax(np.abs(z))]
+    # power steps restore its sign where it is not positive; from the
+    # smallest positive entry the ratios (A v)_i / v_i stay finite
+    y[inner] = np.maximum(z, np.min(z[z > 0.0])) / s
+    return y
+
+
+def _top_eigenvalue(v, apply, p, inner, bracket: float, ritz: bool):
+    """Power iteration from v until the Collatz-Wielandt bracket
+    min (Av)_i / v_i <= rho <= max (Av)_i / v_i on the top eigenvalue
+    rho of the operator, over the inner nodes, is within the relative
+    width bracket.  Returns its midpoint, the last iterate and whether
+    Ritz steps are still to be tried.
+
+    Where the second eigenvalue lies close to rho, power steps converge
+    too slowly.  So with ritz a Ritz step (_ritz) restarts the iteration
+    at step _RITZ_AFTER, and again every _POLISH steps while each one
+    narrows the bracket more than its _KRYLOV + _POLISH operator
+    applications would have as power steps, at the rate the power steps
+    before the first one showed; the first one that does not is undone,
+    and power steps alone go on.
+    """
+    saved = rate = None
+    for step in range(1, _POWER_STEPS + 1):
+        w = apply(v)
+        ratio = w[inner] / v[inner]
+        lo, hi = float(ratio.min()), float(ratio.max())
+        v = w / w.max()
+        if lo > 0.0 and hi - lo <= bracket * hi:
+            return 0.5 * (lo + hi), v, ritz
+        if step % _POLISH:
+            continue
+        width = (hi - lo) / hi if lo > 0.0 else math.inf
+        if ritz and step >= _RITZ_AFTER:
+            if saved is not None and not width < saved[0]:
+                v, ritz = saved[1], False
+            else:
+                if rate is None:
+                    rate = min(width / last, 1.0) if width < math.inf else 1.0
+                saved = width * rate ** (_KRYLOV / _POLISH + 1.0), v
+                v = _ritz(v, apply, p, inner)
+        last = width
     raise NumericalError(
         f"power iteration not converged in {_POWER_STEPS} steps (bracket "
         f"[{lo!r}, {hi!r}] on 1/lambda, {v.size - 1} cells)")
 
 
-def _green_levels(params: ModelParams, half: float, tol: float):
-    """Top eigenvalue of G, as lambda_1 of the unit half interval, on
-    m = 64, 128, ... cells up to the cap; m = 32 only warm-starts m = 64.
+def _levels(level, closed: bool, tol: float):
+    """lambda_1 of the unit interval, one over the top eigenvalue of the
+    operator that level(x, hh) sets up on the nodes x, on m = 64, 128, ...
+    cells up to the cap; m = 32 only warm-starts m = 64.  closed: v
+    vanishes at both ends (the flux problem), not only at 0.
 
     Each level starts from the previous level's vector v_m, stepped by
     (v_m - v_{m/2}) / 4 and interpolated: the mesh error of v expands in
     h^2 as the eigenvalue's does, so that step is its change from m to
-    2m cells.
+    2m cells.  A Ritz step undone on one level is not tried on the next.
     """
+    inner = slice(1, -1 if closed else None)
     coarse = v = None
+    ritz = True
     m = _MESH_START
     while m <= _MESH_CAP:
         x = np.linspace(0.0, 1.0, m + 1)
-        lm = _log_weight(params, half * x)
-        top = float(np.max(lm))
-        p, q = np.exp(lm - top), np.exp(top - lm)
+        apply, p = level(x, 0.5 / m)
         if v is None:
-            v = x
+            v = x * (1.0 - x) if closed else x
         elif coarse is None:
-            coarse, v = v, _refine(v)
+            coarse, v = v, _refine(v, closed)
         else:
-            coarse, v = v, _refine(v + (v - _refine(coarse)) / 4.0)
-        if m == _MESH_START:
-            _, v = _top_eigenvalue(v, p, q, 0.5 / m, _WARM_BRACKET)
-        else:
-            rho, v = _top_eigenvalue(v, p, q, 0.5 / m, tol / 8.0)
+            coarse, v = v, _refine(v + (v - _refine(coarse, closed)) / 4.0,
+                                   closed)
+        bracket = _WARM_BRACKET if m == _MESH_START else tol / 8.0
+        rho, v, ritz = _top_eigenvalue(v, apply, p, inner, bracket, ritz)
+        if m > _MESH_START:
             yield 1.0 / rho
         m *= 2
 
 
-def _green_eigenvalue(params: ModelParams, half: float, tol: float) -> float:
-    """lambda_1 of the symmetric interval [-half, half] on the tan (short
-    of the full domain) or tanh branch.
+def _operator_eigenvalue(level, closed: bool, length: float,
+                         tol: float) -> float:
+    """lambda_1 of an interval of the given length from the levels of its
+    operator on the unit interval (_levels).
 
     Romberg table over the mesh levels: the value is the first diagonal
     entry, from the third level on, within tol of the one before.
     Raises NumericalError when none is by the mesh cap, or when lambda_1
     leaves the normal float range (on tanh the weight ratios overflow
-    near theta half = 709).
+    near theta L = 709).
     """
     table: list[list[float]] = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for lam in _green_levels(params, half, tol):
+            for lam in _levels(level, closed, tol):
                 row = [lam]
                 for j, prev in enumerate(table[-1] if table else ()):
                     row.append(row[j] + (row[j] - prev) / (4.0 ** (j + 1) - 1))
@@ -307,14 +454,28 @@ def _green_eigenvalue(params: ModelParams, half: float, tol: float) -> float:
     except FloatingPointError as exc:
         raise NumericalError(
             f"Green operator out of the float range: {exc}") from exc
-    lam = table[-1][-1] / half / half
+    lam = table[-1][-1] / length / length
     if lam == math.inf:
-        raise DomainError(f"interval length {2.0 * half!r} too small: "
-                          "lambda_1 overflows")
+        raise DomainError(f"interval too small: lambda_1 overflows (length "
+                          f"scale {length!r})")
     if lam < sys.float_info.min:
         raise NumericalError(f"lambda_1 = {lam!r} below the normal float "
                              "range")
     return lam
+
+
+def _green_eigenvalue(params: ModelParams, half: float, tol: float) -> float:
+    """lambda_1 of the symmetric interval [-half, half] on the tan (short
+    of the full domain) or tanh branch, from its odd half problem."""
+    return _operator_eigenvalue(_half_level(params, half), False, half, tol)
+
+
+def _flux_eigenvalue(params: ModelParams, a: float, b: float,
+                     tol: float) -> float:
+    """lambda_1 of [a, b] on the tan, tanh or coth branch from the flux
+    problem, for any interval: the routing (_prufer_route) keeps it from
+    pole ends where N is not an integer."""
+    return _operator_eigenvalue(_flux_level(params, a, b), True, b - a, tol)
 
 
 def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:

@@ -155,7 +155,8 @@ from specgap.eigen import EigenQuery, neumann_eigenvalue_shooting
 from specgap.model import Branch, ModelParams
 for params, a, b in ((ModelParams(3, 1, Branch.TAN), -0.2, math.pi / 2),
                      (ModelParams(3, -1, Branch.COTH), 0.0, 1.8),
-                     (ModelParams(3, -1, Branch.TANH), -0.6, 1.6)):
+                     (ModelParams(3, -1, Branch.TANH), -0.6, 1.6),
+                     (ModelParams(2.5, 1, Branch.TAN), -math.pi / 2, 0.3)):
     print(neumann_eigenvalue_shooting(EigenQuery(params, a, b)))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
@@ -163,8 +164,10 @@ sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
 
 
 def test_asymmetric_eigenvalues_load_no_scipy():
-    # the Pruefer-angle root in a fresh interpreter: a tan interval ending
-    # at the right pole, a coth one starting at the origin, a tanh one
+    # asymmetric intervals in a fresh interpreter: on the flux operator a
+    # tan interval ending at the right pole, a coth one starting at the
+    # origin and a tanh one; on the Pruefer root an n = 2.5 tan interval
+    # starting at the left pole
     src = os.path.dirname(os.path.dirname(specgap.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -172,7 +175,7 @@ def test_asymmetric_eigenvalues_load_no_scipy():
     res = subprocess.run([sys.executable, "-c", _NO_SCIPY_EIGEN], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.count("\n") == 3
+    assert res.stdout.count("\n") == 4
 
 
 def test_match_target_twelve_decades_down(runner):

@@ -201,6 +201,20 @@ def green_applications(monkeypatch):
     return count
 
 
+@pytest.fixture
+def flux_applications(monkeypatch):
+    """Counts the applications of the asymmetric path's flux operator."""
+    count = [0]
+    apply = eigen._flux_apply
+
+    def counted(*args):
+        count[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(eigen, "_flux_apply", counted)
+    return count
+
+
 def test_lambda1_solve_count(integrator_calls, green_applications):
     """The sweep grid integrates nothing and its operator applications
     stay bounded; the points 1e-6 short of the closing diameter (40 to 44
@@ -375,6 +389,116 @@ def test_long_asymmetric_tanh_n10_meets_flux_form(a, b, lam):
     p = ModelParams(10.0, -1.0, Branch.TANH)
     got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
     assert abs(got / want - 1.0) <= 1e-10
+
+
+def _exact_n3_tanh(K, a, b, lo, hi):
+    """A Neumann eigenvalue in [lo, hi] of the n = 3 tanh model on [a, b],
+    with the number of sign changes of its eigenfunction (one for
+    lambda_1).
+
+    With mu = g^2, g = cosh(sqrt(-K) t), w = u / g turns the ODE into
+    u'' + (lam + K) u = 0.  From w(a) = 1, w'(a) = 0, so u = g and u' = g'
+    at a, the Neumann end b is a root of the flux g u' - g' u in lam; u is
+    entire in lam + K, so complex sqrt(lam + K) is safe.  At
+    40 + sqrt(-K) (b - a) digits: the flux cancels like
+    e^(sqrt(-K) (b - a)).
+    """
+    with mp.workdps(40 + int(math.sqrt(-K) * (b - a))):
+        s, a, b = mp.sqrt(-mp.mpf(K)), mp.mpf(a), mp.mpf(b)
+        ga, dga = mp.cosh(s * a), s * mp.sinh(s * a)
+        gb, dgb = mp.cosh(s * b), s * mp.sinh(s * b)
+
+        def u(lam, t):
+            k, tau = mp.sqrt(mp.mpc(lam + K)), t - a
+            return (mp.re(ga * mp.cos(k * tau) + dga * mp.sin(k * tau) / k),
+                    mp.re(dga * mp.cos(k * tau) - ga * k * mp.sin(k * tau)))
+
+        def flux(lam):
+            ub, dub = u(lam, b)
+            return gb * dub - dgb * ub
+
+        lam = mp.findroot(flux, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
+        w = [u(lam, t)[0] / mp.cosh(s * t) for t in mp.linspace(a, b, 2001)]
+        return float(lam), sum(x * y < 0 for x, y in zip(w, w[1:]))
+
+
+def test_long_tanh_interval_meets_n3_closed_form():
+    # theta L = 40: the Pruefer root raised NumericalError here
+    want, zeros = _exact_n3_tanh(-1.0, -10.0, 30.0, 8.0e-9, 8.5e-9)
+    assert zeros == 1
+    p = ModelParams(3.0, -1.0, Branch.TANH)
+    got = neumann_eigenvalue_shooting(EigenQuery(p, -10.0, 30.0))
+    assert abs(got / want - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("branch,a,b", [("coth", 0.0, 40.0),
+                                        ("tanh", -1.0, 60.0)])
+def test_long_interval_near_threshold_without_integrating(
+        branch, a, b, integrator_calls):
+    # lambda_2 / lambda_1 is about 1.02 on the coth interval, where power
+    # steps alone took 3773 operator applications; the Pruefer root, an
+    # independent method, is the reference
+    p = ModelParams(3.0, -1.0, Branch(branch))
+    got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
+    assert integrator_calls[0] == 0
+    assert abs(got / eigen._prufer_eigenvalue(p, a, b, 1e-10) - 1.0) <= 1e-10
+
+
+def _singular_kinds(rng):
+    """The six asymmetric interval kinds of the singular benchmark."""
+    tan = ModelParams(3.0, 1.0, Branch.TAN)
+    coth = ModelParams(3.0, -1.0, Branch.COTH)
+    tanh = ModelParams(3.0, -1.0, Branch.TANH)
+    half_pi = math.pi / 2
+    return [(tan, rng.uniform(-1.0, -0.6), rng.uniform(0.9, 1.1)),
+            (tan, -half_pi, rng.uniform(0.2, 0.4)),
+            (tan, rng.uniform(-0.3, 0.0), half_pi),
+            (coth, 0.0, rng.uniform(1.6, 2.0)),
+            (coth, rng.uniform(0.3, 0.6), rng.uniform(2.0, 2.4)),
+            (tanh, rng.uniform(-0.8, -0.4), rng.uniform(1.4, 1.8))]
+
+
+def test_flux_route_integrates_nothing(integrator_calls, flux_applications):
+    """Intervals whose ends are regular or poles of an integer-N weight
+    take the flux operator, with bounded applications on the singular
+    kinds.  Today: median 60.5, at most 66 over 48 draws."""
+    rng = np.random.default_rng(5)
+    per_call = []
+    for _ in range(8):
+        for params, a, b in _singular_kinds(rng):
+            flux_applications[0] = 0
+            neumann_eigenvalue_shooting(EigenQuery(params, a, b))
+            per_call.append(flux_applications[0])
+    assert statistics.median(per_call) <= 72, per_call
+    assert max(per_call) <= 84, per_call
+    for n in (2.0, 3.0, 10.0):
+        tan = ModelParams(n, 1.0, Branch.TAN)
+        for params, a, b in ((tan, -math.pi / 2, 0.3),
+                             (tan, -0.2, math.pi / 2),
+                             (ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8),
+                             (ModelParams(n, -1.0, Branch.TANH), -0.6, 1.6)):
+            neumann_eigenvalue_shooting(EigenQuery(params, a, b))
+    assert integrator_calls[0] == 0
+
+
+@pytest.mark.parametrize("n", [1.5, 2.5])
+def test_non_integer_pole_ends_take_the_pruefer_root(n, integrator_calls):
+    # mu ~ s^(n - 1) at the pole: for n = 1.5 the flux operator's Romberg
+    # table does not settle; for n = 2.5 it does, and serves as the check
+    tan = ModelParams(n, 1.0, Branch.TAN)
+    for params, a, b in ((tan, -math.pi / 2, 0.3), (tan, -0.2, math.pi / 2),
+                         (ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8)):
+        integrator_calls[0] = 0
+        got = neumann_eigenvalue_shooting(EigenQuery(params, a, b))
+        assert integrator_calls[0] > 0
+        if b == math.pi / 2:
+            a, b = -b, -a
+        if n == 1.5:
+            with pytest.raises(NumericalError):
+                eigen._flux_eigenvalue(params, a, b, 1e-10)
+        else:
+            flux = eigen._flux_eigenvalue(params, a, b, 1e-10)
+            assert abs(got / flux - 1.0) <= 1e-10
 
 
 def test_prufer_root_certifies_next_to_the_tan_pole():
