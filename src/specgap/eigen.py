@@ -38,8 +38,9 @@ operator by cumulative trapezoid sums and iterates until the
 Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
 max_i (Av)_i / v_i closes.  Where lambda_2 / lambda_1 is close to 1
 (long intervals just above the essential threshold) a Ritz step on a
-Krylov space restarts the iteration; it need not be positive, so power
-steps polish it before the bracket counts.  The mesh error expands in
+Krylov space restarts the iteration; the Ritz vector need not be
+positive, so power steps go on from it, and it is kept only if the
+bracket they reach beats what power steps alone would have.  The mesh error expands in
 even powers of the step, which a Romberg table over the levels removes.
 A value is returned only when successive extrapolants agree within the
 tolerance; otherwise NumericalError is raised, near a tan pole with
