@@ -3,12 +3,12 @@ asymmetric intervals are trusted.
 
     PYTHONPATH=src python docs/domain_map.py
 
-For each (n, K, D) of the grid it runs both routes on the symmetric
+For each (n, K, D) of the grid it runs two methods on the symmetric
 interval of length D:
 
 * the Green operator (lambda1_model, the production route), and
 * the Pruefer-angle Brent root launched at the left end, as on any
-  other interval (eigen._prufer_eigenvalue),
+  other interval (tests/prufer_oracle.py, the tests' shooting oracle),
 
 and compares each value with a reference that shares no code with
 either:
@@ -27,9 +27,10 @@ or SILENT MISS.  The grid is n in {1.5, 2, 3, 4, 5, 10}, K from -4 to 2,
 and 10 log-spaced D from 0.05 up to 1e-6 short of the closing diameter
 pi/sqrt(K) (K > 0), |K| D^2 = 1e3 (K < 0) or 30 (K = 0).
 
-On asymmetric intervals it runs the flux operator (eigen._flux_eigenvalue)
-and the Pruefer root on every point, and names the one
-neumann_eigenvalue_shooting takes.  The points (seeded draws):
+On asymmetric intervals it runs neumann_eigenvalue_shooting (the flux
+operator, on the uniform mesh or the one graded at a pole end, counting
+its integrator calls) and the Pruefer root on every point.  The points
+(seeded draws):
 
 * the six interval kinds of the singular benchmark, 8 draws each;
 * 72 long (3, -1) intervals of length 4.5 to 8, 36 tanh with a in
@@ -39,7 +40,10 @@ neumann_eigenvalue_shooting takes.  The points (seeded draws):
 * tan intervals at the left and the right pole and coth ones at the
   origin, and the same 1e-6 and 1e-3 away, for n in {1.5, 2, 2.5, 3,
   4.5};
-* three long (3, -1) intervals near the essential threshold.
+* three long (3, -1) intervals near the essential threshold;
+* long pole: coth [0, L] with K = -1 for n in {1.2, 1.5, 1.8, 2.5, 3,
+  3.5, 4.5, 7, 7.5, 10.5} and theta L = (n - 1) L in {5, 10, 20, 50,
+  100, 200, 300}.
 
 References: for n = 3 the closed form on [a, b] (n3_interval); for the
 (10, -1) intervals a flux-form shot w' = F / mu, F' = -lambda mu w,
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 
 import mpmath as mp
@@ -60,10 +65,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from specgap.eigen import (EigenQuery, _flux_eigenvalue, _prufer_eigenvalue,
-                           _prufer_route, lambda1_model)
+from specgap import model
+from specgap.eigen import (EigenQuery, _pole_ends, lambda1_model,
+                           neumann_eigenvalue_shooting)
 from specgap.errors import SpecgapError
 from specgap.model import Branch, ModelParams, branch_for_curvature
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
+from prufer_oracle import prufer_eigenvalue  # noqa: E402
 
 TOL = 1e-10
 DIMS = (1.5, 2.0, 3.0, 4.0, 5.0, 10.0)
@@ -135,10 +145,10 @@ def n3_interval(K: float, branch: str, a: float, b: float):
     u' = g' at a) the Neumann end b is a root of the flux g u' - g' u in
     lambda.  Below the essential threshold -K (K < 0) at most one root
     lies (u then has at most one zero), so a geometric scan there cannot
-    step over two; above it the scan is linear in k = sqrt(lambda + K)
-    by a sixteenth of pi / (b - a), the spacing of the roots in k.  The
-    first root, by bisection, is lambda_1 only if its w changes sign
-    once; otherwise None.
+    step over two; above it the scan is linear in k = sqrt(lambda + K),
+    from k = 0, by a sixteenth of pi / (b - a), the spacing of the roots
+    in k.  The first root, by bisection, is lambda_1 only if its w
+    changes sign once; otherwise None.
     """
     g, dg = {"tan": (mp.cos, lambda z: -mp.sin(z)),
              "tanh": (mp.cosh, mp.sinh), "coth": (mp.sinh, mp.cosh)}[branch]
@@ -161,7 +171,10 @@ def n3_interval(K: float, branch: str, a: float, b: float):
             while K < 0 and lam < -K:
                 yield lam
                 lam *= 2
-            k, dk = mp.sqrt(max(lam + K, 0)), mp.pi / (16 * (b - a))
+            # from the threshold itself: the last doubling may overshoot
+            # it by up to a factor 2, past the first root's k
+            k = mp.mpf(0) if K < 0 else mp.sqrt(lam + K)
+            dk = mp.pi / (16 * (b - a))
             for _ in range(4000):
                 k += dk
                 yield k * k - K
@@ -244,22 +257,39 @@ def asymmetric_points():
     for a, b in ((-10.0, 30.0), (-1.0, 60.0)):
         yield "threshold", tanh, a, b
     yield "threshold", coth, 0.0, 40.0
+    for n in (1.2, 1.5, 1.8, 2.5, 3.0, 3.5, 4.5, 7.0, 7.5, 10.5):
+        for theta_l in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0):
+            yield "long pole", ModelParams(n, -1.0, Branch.COTH), 0.0, \
+                theta_l / (n - 1.0)
 
 
 def asymmetric_rows():
+    """One row per point, and the integrator calls of all the route's
+    calls."""
+    calls = [0]
+    integrate = model._scipy_solve_ivp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integrate(*args, **kwargs)
+
     rows = []
     for name, params, a, b in asymmetric_points():
         n, K, branch = params.dim, params.curv, params.branch
+        model._scipy_solve_ivp = counted
+        try:
+            route = attempt(lambda: neumann_eigenvalue_shooting(
+                EigenQuery(params, a, b, TOL)))
+        finally:
+            model._scipy_solve_ivp = integrate
         if branch is Branch.TAN and b == params.domain().hi:
             a, b = -b, -a  # what neumann_eigenvalue_shooting runs
-        EigenQuery(params, a, b)  # a valid query
-        flux = attempt(lambda: _flux_eigenvalue(params, a, b, TOL))
-        prufer = attempt(lambda: _prufer_eigenvalue(params, a, b, TOL))
-        route = "Pruefer" if _prufer_route(params, a, b) else "flux"
+        mesh = "graded" if any(_pole_ends(params, a, b)) else "uniform"
+        prufer = attempt(lambda: prufer_eigenvalue(params, a, b, TOL))
         if n == 3:
             ref, source = n3_interval(K, branch.value, a, b), "closed form"
         elif branch is Branch.TANH:
-            seed = prufer if isinstance(prufer, float) else flux
+            seed = prufer if isinstance(prufer, float) else route
             ref = (flux_shot_tanh(n, K, a, b, seed)
                    if isinstance(seed, float) else None)
             source = "flux shot"
@@ -269,11 +299,10 @@ def asymmetric_rows():
             ref = None
         if ref is None:
             source = "none"
-        v_flux = verdict(flux, ref)
-        v_prufer = verdict(prufer, None if source == "Pruefer" else ref)
-        rows.append((name, params, a, b, flux, prufer, ref, source, route,
-                     v_flux, v_prufer, v_flux if route == "flux" else v_prufer))
-    return rows
+        rows.append((name, params, a, b, mesh, route, prufer, ref, source,
+                     verdict(route, ref),
+                     verdict(prufer, None if source == "Pruefer" else ref)))
+    return rows, calls[0]
 
 
 def attempt(fn):
@@ -304,7 +333,7 @@ def main() -> None:
             for D in diameters(K):
                 D = float(D)
                 green = attempt(lambda: lambda1_model(n, K, D))
-                prufer = attempt(lambda: _prufer_eigenvalue(
+                prufer = attempt(lambda: prufer_eigenvalue(
                     params, -0.5 * D, 0.5 * D, TOL))
                 if K == 0:
                     ref, source = math.pi ** 2 / D ** 2, "pi^2/D^2"
@@ -334,7 +363,8 @@ def main() -> None:
         "Written by `docs/domain_map.py` (see its docstring for the grid",
         "and the references); do not edit by hand.  Tolerance 1e-10",
         "relative.  `Green` is `lambda1_model` (the Green operator);",
-        "`Pruefer` is the Pruefer-angle root launched at the left end;",
+        "`Pruefer` is the Pruefer-angle root launched at the left end",
+        "(`tests/prufer_oracle.py`);",
         "where it is the reference itself, its verdict is `unchecked`.",
         "",
         "| route | " + " | ".join(kinds) + " |",
@@ -352,44 +382,46 @@ def main() -> None:
                      f"| {text(green)} | {text(prufer)} "
                      f"| {'-' if ref is None else text(ref)} | {source} "
                      f"| {v1} | {v2} |")
-    asym = asymmetric_rows()
+    asym, integrator_calls = asymmetric_rows()
     lines += [
         "",
         "## Asymmetric intervals",
         "",
-        "`flux` is the flux operator and `Pruefer` the Pruefer-angle root,",
-        "each run on every point; `route` is the one",
-        "`neumann_eigenvalue_shooting` takes (a tan interval ending at the",
-        "right pole is listed as its mirror image, which it runs), and its",
-        "verdict is that route's.  Where the Pruefer root is the",
-        "reference itself, its verdict is `unchecked`.",
+        "`route` is `neumann_eigenvalue_shooting`, the flux operator on the",
+        "`uniform` mesh or the one `graded` at a pole end, and `Pruefer` the",
+        "Pruefer-angle root, each run on every point (a tan interval ending",
+        "at the right pole is listed as its mirror image, which the route",
+        "runs).  Where the Pruefer root is the reference itself, its verdict",
+        f"is `unchecked`.  The route's integrator calls: {integrator_calls}.",
         "",
         "| column | " + " | ".join(kinds) + " |",
         "|---|" + "---|" * len(kinds),
     ]
-    for col, label in ((9, "flux"), (10, "Pruefer"), (11, "route")):
+    for col, label in ((9, "route"), (10, "Pruefer")):
         lines.append(f"| {label} | " + " | ".join(
             str(sum(r[col] == k for r in asym)) for k in kinds) + " |")
     lines += [
         "",
-        "| set | n | K | branch | a | b | flux | Pruefer | reference "
-        "| source | route | flux verdict | Pruefer verdict | route verdict |",
+        "| set | n | K | branch | a | b | theta L | mesh | route | Pruefer "
+        "| reference | source | route verdict | Pruefer verdict |",
         "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
-    for (name, params, a, b, flux, prufer, ref, source, route, v1, v2,
-         v3) in asym:
+    for (name, params, a, b, mesh, route, prufer, ref, source, v1,
+         v2) in asym:
         lines.append(
             f"| {name} | {params.dim:g} | {params.curv:g} "
-            f"| {params.branch.value} | {a:.6g} | {b:.6g} | {text(flux)} "
+            f"| {params.branch.value} | {a:.6g} | {b:.6g} "
+            f"| {params.theta * (b - a):.3g} | {mesh} | {text(route)} "
             f"| {text(prufer)} | {'-' if ref is None else text(ref)} "
-            f"| {source} | {route} | {v1} | {v2} | {v3} |")
+            f"| {source} | {v1} | {v2} |")
     with open(OUT, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {OUT} in {time.perf_counter() - start:.0f} s: "
           f"{len(rows)} points, Green " + ", ".join(
               f"{count(7, k)} {k}" for k in kinds) + f"; {len(asym)} "
           "asymmetric points, route " + ", ".join(
-              f"{sum(r[11] == k for r in asym)} {k}" for k in kinds))
+              f"{sum(r[9] == k for r in asym)} {k}" for k in kinds)
+          + f", {integrator_calls} integrator calls")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 shoot integrates the angle and log-amplitude (phi, rho) of model.py,
 whose right-hand side reads phi only, from t0 until phi first crosses a
-given angle upward (pi/2 for the event shots, inf for the angle to a
-fixed end) or the end is reached, and gives up after _MAX_STEPS steps.
+given angle upward (pi/2 in every shot of the model; inf never stops) or
+the end is reached, and gives up after _MAX_STEPS steps.
 It is the explicit Runge-Kutta method of order 8 with the embedded
 5th/3rd order error estimate and the 7th degree dense output of Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I (2nd ed.,
@@ -47,8 +47,9 @@ _TINY = 2.2250738585072014e-308
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
-# accepted steps before a shot gives up (a fixed-end angle at a huge
-# lambda would otherwise step on for ever)
+# accepted steps before a shot gives up: the angle turns at the rate
+# sqrt(lambda), so a run that does not stop at its event takes some
+# sqrt(lambda) L steps over a span L, without bound in lambda
 _MAX_STEPS = 20000
 
 # Dormand-Prince 8(5,3): the nodes c_s and rows a_s of stages 1..11

@@ -1,18 +1,16 @@
 """Neumann eigenvalues of the one-dimensional comparison models.
 
-Four routes, chosen by the interval:
+Three routes, chosen by the interval:
 
 * closed forms: pi^2/L^2 on the zero branch (weight 1) and N Kbar on the
   full tan domain (the round sphere);
 * power iteration on the Green operator of the odd half problem, for
   symmetric intervals of the even branches (tan, tanh), so for
   lambda1_model;
-* shooting on the scaled Pruefer angle where N is not an integer and an
-  end lies at or next to a pole (tan's, coth's origin);
 * power iteration on the Green operator of the flux for every other
   interval.
 
-The two operator routes are pure numpy, with no integrator and no root
+Both operator routes are pure numpy, with no integrator and no root
 find.  On a symmetric interval [-L, L] with an even weight the first
 nontrivial eigenfunction is odd, so it solves the half problem on
 [0, L] with w(0) = 0 and zero flux mu w' at L.  Its Green operator
@@ -36,28 +34,30 @@ self-adjoint in L^2(mu), with top eigenvalue 1/lambda_1; y vanishes at
 both ends, at a pole too, where P / mu -> 0.  Each mesh level applies the
 operator by cumulative trapezoid sums and iterates until the
 Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
-max_i (Av)_i / v_i closes.  Where lambda_2 / lambda_1 is close to 1
-(long intervals just above the essential threshold) a Ritz step on a
-Krylov space restarts the iteration; the Ritz vector need not be
-positive, so power steps go on from it, and it is kept only if the
-bracket they reach beats what power steps alone would have.  The mesh error expands in
-even powers of the step, which a Romberg table over the levels removes.
-A value is returned only when successive extrapolants agree within the
-tolerance; otherwise NumericalError is raised, near a tan pole with
-N < 2 for example, where mu ~ s^(N-1) in the distance s to the pole is
-not smooth enough for the expansion.  That is why such intervals keep
-the Pruefer root where an end is a pole or next to one.
+max_i (Av)_i / v_i closes.  Every iterate is positive, so the bracket
+bounds 1/lambda: the operator keeps a positive vector positive, and each
+level starts from a positive one (_levels).  Where lambda_2 / lambda_1 is close to 1 (long
+intervals just above the essential threshold) a Ritz step on a Krylov
+space restarts the iteration; its vector, with the entries that are not
+positive raised to its smallest positive one, only starts power steps,
+and it is kept only if the bracket they reach beats what power steps
+alone would have.  The mesh error expands in even powers of the step,
+which a Romberg table over the levels removes.  A value is returned
+only when successive extrapolants agree within the tolerance;
+otherwise NumericalError is raised.
 
-Shooting follows the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
-(model.prufer_angle, on the DOP853 of every shot) to the far end of the
-interval, where the Neumann condition w' = 0 reads phi = pi/2, so
-lambda_1 is the root of a continuous, strictly increasing function with
-no event.  It launches at the left end, a tan interval ending at the
-right pole from its mirror image.  The root is a Brent root in
-sqrt(lam) (12 to 50 angle solves with its certificate): the angle must
-change sign across lam (1 -+ tol) by more than its integration error,
-estimated from a second run at ten times the integration tolerance, or
-NumericalError is raised.
+Near a pole, mu ~ s^(N-1) in the distance s to it, which for a
+non-integer N is not smooth enough for that expansion on a uniform
+mesh: for N < 2 the table does not settle within about 1e-4 (b - a) of
+the pole.  So where N is not an integer and an end lies within
+_POLE_NEAR (b - a) of a pole, the flux mesh is graded there:
+t = a + (b - a) g(x) with g cubic in x at that end (_mesh_map), and
+every trapezoid weight takes the factor g'(x).  There mu g' ~ x^(3N - 1)
+puts the pole's error term at h^(3N), past the h^2 that the table
+removes first.  g is odd about a graded end (near enough where both
+are), so the iterate g' y stays odd about an end at a pole, as the
+refinement's reflection there assumes.  Every other interval runs on
+the uniform mesh.
 """
 
 from __future__ import annotations
@@ -65,13 +65,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import model
-from .bounds import shi_zhang, zhong_yang
-from .errors import BracketFailure, DomainError, NumericalError
+from .bounds import zhong_yang
+from .errors import DomainError, NumericalError
 from .model import Branch, ModelParams
 
 __all__ = [
@@ -80,18 +79,6 @@ __all__ = [
     "lambda1_model",
     "symmetric_interval_length",
 ]
-
-_MAX_WIDEN = 40
-_MAX_ITER = 100
-# The root certificate's bound on the Pruefer angle's integration error.
-# That error grows with the angle's sensitivity to lambda (up to 4e-8 on
-# n = 10 tanh intervals, where the angle moves by 1e-6 across the band),
-# so no one bound serves: it is the angle's change when integrated at
-# _ROUGH times the tolerance, and at least _ANGLE_ERR.  Each probe takes
-# its own: at the root itself the angle may jump by pi (an end next to a
-# tan pole).
-_ANGLE_ERR = 1e-12
-_ROUGH = 10.0
 
 # Green-operator levels: m = 32 cells only starts the Romberg table,
 # which runs over m = 64, 128, ... up to the cap
@@ -104,9 +91,11 @@ _POWER_STEPS = 400
 _KRYLOV = 20
 _POLISH = 4
 _RITZ_AFTER = 24
-# A non-integer N keeps the Pruefer root where an end lies within
-# _POLE_NEAR interval lengths of a pole (_prufer_route)
+# Where N is not an integer, the flux mesh is graded at an end within
+# _POLE_NEAR interval lengths of a pole (_pole_ends), cubic in x over
+# about _GRADE of the unit interval (_mesh_map)
 _POLE_NEAR = 1e-2
+_GRADE = 0.125
 
 
 @dataclass(frozen=True)
@@ -147,11 +136,11 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     """First nontrivial Neumann eigenvalue, certified to query.tol.
 
     Closed forms on the zero branch and the full tan domain, the Green
-    operator of the odd half problem on a symmetric interval, the Brent
-    root of the Pruefer angle where N is not an integer and an end lies
-    at or next to a pole, the flux operator on every other interval (see
-    the module docstring).  Raises NumericalError when the value cannot
-    be certified to query.tol.
+    operator of the odd half problem on a symmetric interval, the flux
+    operator on every other interval, on a mesh graded at an end at or
+    next to a pole where N is not an integer (see the module docstring).
+    Raises NumericalError when the value cannot be certified to
+    query.tol.
     """
     params, L = query.params, query.length
     flat = zhong_yang(L)  # pi^2/L^2, or DomainError for a too short L
@@ -165,76 +154,17 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     a, b = query.a, query.b
     if tan and b == params.domain().hi:
         a, b = -b, -a  # the even weight mirrors it onto the left pole
-    if _prufer_route(params, a, b):
-        return _prufer_eigenvalue(params, a, b, query.tol)
     return _flux_eigenvalue(params, a, b, query.tol)
 
 
-def _prufer_route(params: ModelParams, a: float, b: float) -> bool:
-    """Whether [a, b] takes the Pruefer root: N is not an integer and an
-    end lies within _POLE_NEAR (b - a) of a pole.  There mu ~ s^(N-1) in
-    the distance s to the pole, whose trapezoid errors do not expand in
-    even powers of the step: for N < 2 the Romberg table does not settle
-    within about 1e-4 (b - a) of the pole."""
+def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
+    """Which ends of [a, b] the flux operator's mesh grades: where N is
+    not an integer, an end within _POLE_NEAR (b - a) of a pole."""
     if float(params.dim).is_integer():
-        return False
+        return False, False
     dom, near = params.domain(), _POLE_NEAR * (b - a)
-    return ((dom.lo_singular and a - dom.lo <= near)
-            or (dom.hi_singular and dom.hi - b <= near))
-
-
-def _prufer_eigenvalue(params: ModelParams, a: float, b: float,
-                       tol: float) -> float:
-    """Brent root in k = sqrt(lam) of the Pruefer angle at b less pi/2,
-    launched at a, for any interval (docs/domain_map.py and the tests also
-    run it where the operator routes serve, as an independent method)."""
-    from ._ode import brentq
-
-    L = b - a
-
-    @cache  # brentq re-evaluates both bracket ends: solve each k once
-    def f(k):
-        """Angle past pi/2 at lam = k^2, in which it is close to linear."""
-        return model.prufer_angle(params, k * k, a, b) - 0.5 * math.pi
-
-    # interval-position monotonicity makes the central interval the
-    # smallest eigenvalue among intervals of this length, and the
-    # quadratic bound and, on tan, N Kbar (Lichnerowicz) floor that, so
-    # this seed is already a valid lower bracket up to degenerate
-    # equality cases; the widening loop mops those up
-    nk = params.dim * max(params.curv, 0.0)
-    lo = math.sqrt(max(0.9 * shi_zhang(params.dim, params.curv, L), nk, 1e-12))
-    for _ in range(_MAX_WIDEN):
-        if f(lo) < 0.0:
-            break
-        lo /= 4.0
-    else:
-        raise BracketFailure("no lower bracket for the eigenvalue")
-
-    hi = math.sqrt(8.0 * max(math.pi ** 2 / L ** 2, nk))
-    for _ in range(_MAX_WIDEN):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("no upper bracket for the eigenvalue")
-
-    # k to a tenth of the band, so the certificate probes clear the root
-    k = brentq(f, lo, hi, xtol=0.05 * tol * lo, rtol=max(0.05 * tol, 1e-15),
-               maxiter=_MAX_ITER)
-    # the band lam (1 -+ tol) around lam = k^2 must bracket the root: the
-    # angle at each end must clear its error there (see _ANGLE_ERR)
-    for side in (-1.0, 1.0):
-        kp = k * math.sqrt(1.0 + side * tol)
-        rough = model.prufer_angle(params, kp * kp, a, b,
-                                   tol=_ROUGH * model.ANGLE_TOL)
-        err = max(_ANGLE_ERR, abs(rough - 0.5 * math.pi - f(kp)))
-        if not side * f(kp) > err:
-            raise NumericalError(
-                f"eigenvalue {k * k!r} not certified to {tol:g}: the angle "
-                f"{f(kp):.3g} at lambda (1 {side:+g} tol) does not clear "
-                f"its error {err:.3g}")
-    return k * k
+    return (dom.lo_singular and a - dom.lo <= near,
+            dom.hi_singular and dom.hi - b <= near)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +229,49 @@ def _half_level(params: ModelParams, half: float):
 
 
 def _flux_level(params: ModelParams, a: float, b: float):
+    """The flux operator's levels.  On a graded mesh (_mesh_map) every
+    trapezoid weight takes the factor g', and the iterate is z = g' y,
+    so that q carries g' too; the operator on z is symmetric in the
+    weight mu / g'."""
+    left, right = _pole_ends(params, a, b)
+
     def level(x, hh):
-        t = a + (b - a) * x
-        t[-1] = b
+        u, du = _mesh_map(x, left, right)
+        t = a + (b - a) * u
+        t[0], t[-1] = a, b
         lm = _log_weight(params, t)
         top = float(np.max(lm))
-        p = np.exp(lm - top)
+        mu = np.exp(lm - top)
+        p = mu if du is None else mu * du
         P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
         q = np.zeros_like(p)
         q[1:-1] = np.exp(top - lm[1:-1]) / P[-1]
-        return (lambda y: _flux_apply(y, P, Q, q, hh)), p
+        if du is not None:
+            q *= du
+            mu[1:-1] /= du[1:-1]
+        return (lambda z: _flux_apply(z, P, Q, q, hh)), mu
     return level
+
+
+def _mesh_map(x, left: bool, right: bool):
+    """u = g(x) and g'(x) for the flux operator's nodes t = a + (b - a) u:
+    graded at the ends that _pole_ends marks by
+    g_0(x) = c (x - e tanh(x / e)), e = _GRADE, c = 1 / (1 - e tanh(1 / e)),
+    and (x, None) where it marks none.  g_0 is odd, c x^3 / (3 e^2) to
+    leading order at 0, and its slope is c to a relative 4 exp(-2x / e)
+    past a few e.  A graded right end takes 1 - g_0(1 - x), both ends
+    g_0(1 - g_0(1 - x))."""
+    if not (left or right):
+        return x, None
+    u, du = x, 1.0
+    c = 1.0 / (1.0 - _GRADE * math.tanh(1.0 / _GRADE))
+    if right:
+        th = np.tanh((1.0 - x) / _GRADE)
+        u, du = 1.0 - c * (1.0 - x - _GRADE * th), c * th * th
+    if left:
+        th = np.tanh(u / _GRADE)
+        u, du = c * (u - _GRADE * th), c * th * th * du
+    return u, du
 
 
 def _refine(v, closed: bool):
@@ -401,7 +363,12 @@ def _levels(level, closed: bool, tol: float):
     Each level starts from the previous level's vector v_m, stepped by
     (v_m - v_{m/2}) / 4 and interpolated: the mesh error of v expands in
     h^2 as the eigenvalue's does, so that step is its change from m to
-    2m cells.  A Ritz step undone on one level is not tried on the next.
+    2m cells.  Where v_m falls by decades within a few cells (next to
+    the pole of a long interval) the step or the cubic can undershoot
+    zero, and there the start takes v_m interpolated linearly instead:
+    it must be positive for the Collatz-Wielandt bracket to bound the
+    eigenvalue.  A Ritz step undone on one level is not tried on the
+    next.
     """
     inner = slice(1, -1 if closed else None)
     coarse = v = None
@@ -417,6 +384,8 @@ def _levels(level, closed: bool, tol: float):
         else:
             coarse, v = v, _refine(v + (v - _refine(coarse, closed)) / 4.0,
                                    closed)
+        if not v[inner].min() > 0.0:
+            v = np.where(v > 0.0, v, np.interp(x, x[::2], coarse))
         bracket = _WARM_BRACKET if m == _MESH_START else tol / 8.0
         rho, v, ritz = _top_eigenvalue(v, apply, p, inner, bracket, ritz)
         if m > _MESH_START:
@@ -474,8 +443,7 @@ def _green_eigenvalue(params: ModelParams, half: float, tol: float) -> float:
 def _flux_eigenvalue(params: ModelParams, a: float, b: float,
                      tol: float) -> float:
     """lambda_1 of [a, b] on the tan, tanh or coth branch from the flux
-    problem, for any interval: the routing (_prufer_route) keeps it from
-    pole ends where N is not an integer."""
+    problem, for any interval."""
     return _operator_eigenvalue(_flux_level(params, a, b), True, b - a, tol)
 
 

@@ -22,16 +22,14 @@ Each T equals -mu'/mu for the weight mu = cos^{N-1}, cosh^{N-1},
 sinh^{N-1}, 1 respectively, so L_T is the radial part of the weighted
 Laplacian and (mu w')' = -lambda mu w in self-adjoint form.
 
-Both integrations launch from w(a) = -1, w'(a) = 0, by a Frobenius
-series at a singular endpoint (tan's left pole, coth's origin), and
-follow the scaled Pruefer angle phi = atan2(k w, w'), k = sqrt(lambda),
-with the bounded equation phi' = k - T sin(2 phi) / 2 (Pruefer 1926;
-Pryce, Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5),
-and the log-amplitude rho = ln(r / k), r^2 = k^2 w^2 + w'^2;
-w' = 0 where phi = pi/2 mod pi.
+The first-maximum shot launches from w(a) = -1, w'(a) = 0, by a
+Frobenius series at a singular endpoint (tan's left pole, coth's
+origin), and follows the scaled Pruefer angle phi = atan2(k w, w'),
+k = sqrt(lambda), with the bounded equation phi' = k - T sin(2 phi) / 2
+(Pruefer 1926; Pryce, Numerical Solution of Sturm-Liouville Problems,
+1993, ch. 5), and the log-amplitude rho = ln(r / k),
+r^2 = k^2 w^2 + w'^2; w' = 0 where phi = pi/2 mod pi.
 
-* prufer_angle runs the pair to a fixed end b; phi(b) increases
-  strictly in lambda, so Neumann eigenvalues are roots of phi(b) - pi/2.
 * solve_ivp stops at the first w' zero, phi = pi/2, a distance
   d(a, T, lambda) from a, where m = e^rho.  On tan it stops just short
   of the right pole; no zero by then puts the maximum at the pole
@@ -41,16 +39,16 @@ w' = 0 where phi = pi/2 mod pi.
   eigenvalue.  Its angle atan2(S w, w') takes the scale
   S = min(k, lambda) (see there).
 
-All three are one scalar DOP853 (the _ode module), which stops where phi
-crosses pi/2 for the event shots and runs on to the end for the angle:
-scipy's solve_ivp takes the same steps, but spends almost all of its
-time in numpy calls on the two-component state, and loading scipy at all
-costs more than a matching call.  _ode's step is straight-line float
-arithmetic, written out from the tableau when _ode is imported, so a
-step costs its twelve right-hand side calls and little else.  _ode is
-imported on first use: where no bytecode is cached, compiling it is a
-visible share of a process that integrates nothing, such as specgap
-sweep, and writing out the step adds about 2 ms to every import.
+Both are one scalar DOP853 (the _ode module), which stops where phi
+crosses pi/2: scipy's solve_ivp takes the same steps, but spends almost
+all of its time in numpy calls on the two-component state, and loading
+scipy at all costs more than a matching call.  _ode's step is
+straight-line float arithmetic, written out from the tableau when _ode
+is imported, so a step costs its twelve right-hand side calls and
+little else.  _ode is imported on first use: where no bytecode is
+cached, compiling it is a visible share of a process that integrates
+nothing, such as specgap sweep or an eigenvalue, and writing out the
+step adds about 2 ms to every import.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ __all__ = [
     "drift_eval",
     "riccati_residual",
     "weight_mu",
-    "prufer_angle",
     "solve_ivp",
     "odd_turn",
 ]
@@ -87,12 +84,6 @@ ATOL = 1e-10
 # S the angle's scale, so the angle (about S t after the launch at 0)
 # keeps its relative accuracy while it is small
 ODD_RTOL = 1e-13
-
-# prufer_angle's rtol = atol (the angle is O(1)).  At 3e-14 the
-# eigenvalue root certifies every interval of its accuracy study, within
-# 1.1e-11 of the oracles; at 1e-13 two long n = 10 tanh intervals of 32
-# did not certify.
-ANGLE_TOL = 3e-14
 
 _HALF_PI = 0.5 * math.pi
 
@@ -110,10 +101,10 @@ _CERT_WINDOW = 50.0
 def _scipy_solve_ivp(*args, **kwargs):
     """One integration, _ode.shoot (the Shot it returns carries nfev).
 
-    Every event shot and every Pruefer angle goes through this one module
-    binding, under the name it had when the shot was scipy's solve_ivp:
-    bench/spans.py wraps it by that name to count solves and right-hand
-    side evaluations, and the tests count calls through it.
+    Every shot goes through this one module binding, under the name it
+    had when the shot was scipy's solve_ivp: bench/spans.py wraps it by
+    that name to count solves and right-hand side evaluations, and the
+    tests count calls through it.
     """
     from . import _ode
     return _ode.shoot(*args, **kwargs)
@@ -304,7 +295,7 @@ def _drift(params: ModelParams, lib=math):
 
 
 # ---------------------------------------------------------------------------
-# The Pruefer pair (phi, rho): to a fixed end, and to the first w' zero.
+# The Pruefer pair (phi, rho) to the first w' zero.
 
 def _pruefer_rhs(params: ModelParams, lam: float):
     """(phi', rho') = (k - T sin(phi) cos(phi), T cos(phi)^2) at (t, phi)."""
@@ -314,27 +305,6 @@ def _pruefer_rhs(params: ModelParams, lam: float):
         Tt, c = T(t), math.cos(phi)
         return k - Tt * math.sin(phi) * c, Tt * c * c
     return rhs
-
-
-def prufer_angle(params: ModelParams, lam: float, a: float, b: float,
-                 tol: float = ANGLE_TOL) -> float:
-    """phi(b) for phi = atan2(sqrt(lam) w, w') of the solution launched at a.
-
-    The launch is w = -1, w' = 0 (phi = -pi/2, by the Frobenius series at
-    a singular left end).  solve_ivp's pair (phi, rho) is integrated to b
-    at rtol = atol = tol, with no stop at pi/2 and the last step ending on
-    b, which may lie next to a pole.  rho is not read.  It is carried
-    because DOP853's error estimate of phi alone can vanish within a step
-    whose error is some 30 times the tolerance; from tan's left pole that
-    left phi(b) up to 3e-12 off at tol 3e-14.
-    """
-    t0, phi0, rho0, _ = _launch(params, lam, a)
-    if not (t0 <= b):
-        raise DomainError(f"launch point {t0} beyond the end {b}")
-    if t0 == b:
-        return phi0
-    return _scipy_solve_ivp(_pruefer_rhs(params, lam), t0, phi0, rho0, b,
-                            math.inf, tol, tol).phi
 
 
 @dataclass

@@ -8,8 +8,8 @@ lowest two eigenvalues come from a Sturm-sequence bisection solver.
 The lowest one is the discrete constant mode and must sit at zero.
 
 It shares no code with the package's eigenvalue routes (the Green
-operator, the Pruefer angle), so the tests use it as an independent
-cross-check.
+operators) or with the Pruefer-angle oracle (prufer_oracle.py), so the
+tests use it as an independent cross-check.
 """
 
 import numpy as np

@@ -23,6 +23,7 @@ from specgap.eigen import (
 from specgap.model import Branch, ModelParams, branch_for_curvature
 
 from fd_oracle import fd_oracle_eigenvalue
+from prufer_oracle import prufer_eigenvalue
 
 # frozen after cross-validation against the finite-difference oracle
 # (Richardson 1024/2048 gives 8.93166014856054, rel gap 3.0e-11)
@@ -175,7 +176,7 @@ def test_lambda1_below_float_range_is_typed(D):
 @pytest.fixture
 def integrator_calls(monkeypatch):
     """Counts the calls of the one model-ODE integrator binding, which
-    every Pruefer angle and every shot goes through."""
+    every shot goes through."""
     count = [0]
     integrate = model._scipy_solve_ivp
 
@@ -436,12 +437,12 @@ def test_long_tanh_interval_meets_n3_closed_form():
 def test_long_interval_near_threshold_without_integrating(
         branch, a, b, integrator_calls):
     # lambda_2 / lambda_1 is about 1.02 on the coth interval, where power
-    # steps alone took 3773 operator applications; the Pruefer root, an
-    # independent method, is the reference
+    # steps alone took 3773 operator applications; the tests-side Pruefer
+    # root, an independent method, is the reference
     p = ModelParams(3.0, -1.0, Branch(branch))
     got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
     assert integrator_calls[0] == 0
-    assert abs(got / eigen._prufer_eigenvalue(p, a, b, 1e-10) - 1.0) <= 1e-10
+    assert abs(got / prufer_eigenvalue(p, a, b) - 1.0) <= 1e-10
 
 
 def _singular_kinds(rng):
@@ -481,24 +482,26 @@ def test_flux_route_integrates_nothing(integrator_calls, flux_applications):
     assert integrator_calls[0] == 0
 
 
-@pytest.mark.parametrize("n", [1.5, 2.5])
-def test_non_integer_pole_ends_take_the_pruefer_root(n, integrator_calls):
-    # mu ~ s^(n - 1) at the pole: for n = 1.5 the flux operator's Romberg
-    # table does not settle; for n = 2.5 it does, and serves as the check
+@pytest.mark.parametrize("n", [1.2, 1.5, 1.8, 2.5, 4.5])
+def test_non_integer_pole_ends_take_the_graded_mesh(n, integrator_calls):
+    """mu ~ s^(n - 1) at the pole: on the uniform mesh the flux operator's
+    Romberg table did not settle there for n < 2.  On the mesh graded at
+    each end at or next to a pole it certifies, with no integrator call,
+    within 1e-10 of the tests-side Pruefer root."""
+    half_pi = math.pi / 2
     tan = ModelParams(n, 1.0, Branch.TAN)
-    for params, a, b in ((tan, -math.pi / 2, 0.3), (tan, -0.2, math.pi / 2),
-                         (ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8)):
+    intervals = [(ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8),
+                 (tan, -half_pi, half_pi - 1e-6)]
+    for off in (0.0, 1e-6, 1e-3):
+        intervals += [(tan, -half_pi + off, 0.3), (tan, -0.2, half_pi - off)]
+    for params, a, b in intervals:
         integrator_calls[0] = 0
         got = neumann_eigenvalue_shooting(EigenQuery(params, a, b))
-        assert integrator_calls[0] > 0
-        if b == math.pi / 2:
-            a, b = -b, -a
-        if n == 1.5:
-            with pytest.raises(NumericalError):
-                eigen._flux_eigenvalue(params, a, b, 1e-10)
-        else:
-            flux = eigen._flux_eigenvalue(params, a, b, 1e-10)
-            assert abs(got / flux - 1.0) <= 1e-10
+        assert integrator_calls[0] == 0
+        if b == half_pi:
+            a, b = -b, -a  # the left-pole launch the route runs too
+        assert any(eigen._pole_ends(params, a, b))
+        assert abs(got / prufer_eigenvalue(params, a, b) - 1.0) <= 1e-10
 
 
 def test_prufer_root_certifies_next_to_the_tan_pole():
@@ -508,8 +511,47 @@ def test_prufer_root_certifies_next_to_the_tan_pole():
     K = 2.0
     D = math.pi / math.sqrt(K) * (1.0 - 1e-6)
     p = ModelParams(10.0, K, Branch.TAN)
-    got = eigen._prufer_eigenvalue(p, -D / 2, D / 2, 1e-10)
+    got = prufer_eigenvalue(p, -D / 2, D / 2)
     assert abs(got / lambda1_model(10.0, K, D) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n,b", [(3.5, 40.0), (7.0, 40.0)])
+def test_warm_starts_stay_positive(monkeypatch, n, b):
+    # next to the pole of a long coth interval the eigenvector falls by
+    # decades within a few cells: the cubic refinement undershot zero at
+    # 64 cells on (7, -1) [0, 40] (-0.035), and the extrapolated step at
+    # 128 cells on (3.5, -1) [0, 40] (-5.7e-4); a Collatz-Wielandt bracket
+    # bounds the eigenvalue only from a positive vector
+    starts = []
+    top = eigen._top_eigenvalue
+
+    def recorded(v, apply, p, inner, bracket, ritz):
+        starts.append(float(v[inner].min()))
+        return top(v, apply, p, inner, bracket, ritz)
+
+    monkeypatch.setattr(eigen, "_top_eigenvalue", recorded)
+    try:
+        neumann_eigenvalue_shooting(EigenQuery(
+            ModelParams(n, -1.0, Branch.COTH), 0.0, b))
+    except NumericalError:
+        pass
+    assert len(starts) >= 2 and min(starts) > 0.0, starts
+
+
+@pytest.mark.parametrize("n,b", [(7.0, 40.0), (10.5, 30.0)])
+def test_long_pole_interval_is_certified_or_typed(n, b):
+    # theta L of 240 and 285: the coarse levels do not resolve the
+    # weight's e-folding length 1 / theta.  A value must meet the
+    # tests-side Pruefer root, and an error must not blame the float
+    # range, which a non-positive warm start (v = w / w.max() dividing by
+    # zero) once did
+    p = ModelParams(n, -1.0, Branch.COTH)
+    try:
+        got = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
+    except NumericalError as exc:
+        assert "float range" not in str(exc)
+    else:
+        assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
 
 
 def test_coth_interval_dominates_central_even_family():

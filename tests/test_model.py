@@ -19,11 +19,12 @@ from specgap.model import (
     ModelParams,
     branch_for_curvature,
     drift_eval,
-    prufer_angle,
     riccati_residual,
     solve_ivp,
     weight_mu,
 )
+
+from prufer_oracle import prufer_angle
 
 TAN3 = ModelParams(3.0, 1.0, Branch.TAN)
 TANH3 = ModelParams(3.0, -1.0, Branch.TANH)
@@ -153,7 +154,9 @@ def test_wprime_positive_before_first_zero():
 
 
 # ---------------------------------------------------------------------------
-# the scaled Pruefer angle phi = atan2(sqrt(lam) w, w')
+# the scaled Pruefer angle phi = atan2(sqrt(lam) w, w') to a fixed end, the
+# tests-side oracle's (prufer_oracle.py), on the model's launch, right-hand
+# side and integrator
 
 @pytest.mark.parametrize("lam", [0.5, 4.0, 30.0])
 def test_prufer_angle_zero_branch_closed_form(lam):
