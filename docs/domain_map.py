@@ -282,12 +282,16 @@ def asymmetric_rows():
                 EigenQuery(params, a, b, TOL)))
         finally:
             model._scipy_solve_ivp = integrate
-        if branch is Branch.TAN and b == params.domain().hi:
-            a, b = -b, -a  # what neumann_eigenvalue_shooting runs
         mesh = "graded" if any(_pole_ends(params, a, b)) else "uniform"
-        prufer = attempt(lambda: prufer_eigenvalue(params, a, b, TOL))
+        # the Pruefer root launches at the left end, so a tan interval
+        # ending at the right pole goes to the oracles as its mirror
+        # image, which the even weight gives the same eigenvalue
+        oa, ob = a, b
+        if branch is Branch.TAN and b == params.domain().hi:
+            oa, ob = -b, -a
+        prufer = attempt(lambda: prufer_eigenvalue(params, oa, ob, TOL))
         if n == 3:
-            ref, source = n3_interval(K, branch.value, a, b), "closed form"
+            ref, source = n3_interval(K, branch.value, oa, ob), "closed form"
         elif branch is Branch.TANH:
             seed = prufer if isinstance(prufer, float) else route
             ref = (flux_shot_tanh(n, K, a, b, seed)
@@ -389,9 +393,10 @@ def main() -> None:
         "",
         "`route` is `neumann_eigenvalue_shooting`, the flux operator on the",
         "`uniform` mesh or the one `graded` at a pole end, and `Pruefer` the",
-        "Pruefer-angle root, each run on every point (a tan interval ending",
-        "at the right pole is listed as its mirror image, which the route",
-        "runs).  Where the Pruefer root is the reference itself, its verdict",
+        "Pruefer-angle root, each run on every point.  The route runs a tan",
+        "interval ending at the right pole as given; the Pruefer root and",
+        "the closed form take its mirror image, which starts at the left",
+        "pole.  Where the Pruefer root is the reference itself, its verdict",
         f"is `unchecked`.  The route's integrator calls: {integrator_calls}.",
         "",
         "| column | " + " | ".join(kinds) + " |",

@@ -36,28 +36,27 @@ operator by cumulative trapezoid sums and iterates until the
 Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
 max_i (Av)_i / v_i closes.  Every iterate is positive, so the bracket
 bounds 1/lambda: the operator keeps a positive vector positive, and each
-level starts from a positive one (_levels).  Where lambda_2 / lambda_1 is close to 1 (long
-intervals just above the essential threshold) a Ritz step on a Krylov
-space restarts the iteration; its vector, with the entries that are not
-positive raised to its smallest positive one, only starts power steps,
-and it is kept only if the bracket they reach beats what power steps
-alone would have.  The mesh error expands in even powers of the step,
-which a Romberg table over the levels removes.  A value is returned
-only when successive extrapolants agree within the tolerance;
-otherwise NumericalError is raised.
+level starts from a positive one (_levels).  Where lambda_2 / lambda_1
+is close to 1 (long intervals just above the essential threshold) a
+Ritz step on a Krylov space restarts the iteration; its vector, with the
+entries that are not positive raised to its smallest positive one, only
+starts power steps, and it is kept only if the bracket is narrower a few
+power steps later than it was just before the step.  The mesh error
+expands in even powers of the step, which a Romberg table over the
+levels removes.  A value is returned only when successive extrapolants
+agree within the tolerance; otherwise NumericalError is raised.
 
 Near a pole, mu ~ s^(N-1) in the distance s to it, which for a
 non-integer N is not smooth enough for that expansion on a uniform
 mesh: for N < 2 the table does not settle within about 1e-4 (b - a) of
-the pole.  So where N is not an integer and an end lies within
-_POLE_NEAR (b - a) of a pole, the flux mesh is graded there:
-t = a + (b - a) g(x) with g cubic in x at that end (_mesh_map), and
-every trapezoid weight takes the factor g'(x).  There mu g' ~ x^(3N - 1)
-puts the pole's error term at h^(3N), past the h^2 that the table
-removes first.  g is odd about a graded end (near enough where both
-are), so the iterate g' y stays odd about an end at a pole, as the
-refinement's reflection there assumes.  Every other interval runs on
-the uniform mesh.
+the pole.  So wherever an end lies within _POLE_NEAR (b - a) of a pole,
+whatever N is, the flux mesh is graded there: t = a + (b - a) g(x) with
+g cubic in x at that end (_mesh_map), and every trapezoid weight takes
+the factor g'(x).  There mu g' ~ x^(3N - 1) puts the pole's error term
+at h^(3N), past the h^2 that the table removes first.  g is odd about a
+graded end (near enough where both are), so the iterate g' y stays odd
+about an end at a pole, as the refinement's reflection there assumes.
+Every other end keeps the uniform spacing.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ import numpy as np
 from . import model
 from .bounds import zhong_yang
 from .errors import DomainError, NumericalError
-from .model import Branch, ModelParams
+from .model import Branch, ModelParams, log_weight
 
 __all__ = [
     "EigenQuery",
@@ -91,9 +90,9 @@ _POWER_STEPS = 400
 _KRYLOV = 20
 _POLISH = 4
 _RITZ_AFTER = 24
-# Where N is not an integer, the flux mesh is graded at an end within
-# _POLE_NEAR interval lengths of a pole (_pole_ends), cubic in x over
-# about _GRADE of the unit interval (_mesh_map)
+# The flux mesh is graded at an end within _POLE_NEAR interval lengths
+# of a pole (_pole_ends), cubic in x over about _GRADE of the unit
+# interval (_mesh_map)
 _POLE_NEAR = 1e-2
 _GRADE = 0.125
 
@@ -137,10 +136,9 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
 
     Closed forms on the zero branch and the full tan domain, the Green
     operator of the odd half problem on a symmetric interval, the flux
-    operator on every other interval, on a mesh graded at an end at or
-    next to a pole where N is not an integer (see the module docstring).
-    Raises NumericalError when the value cannot be certified to
-    query.tol.
+    operator on every other interval, as given, on a mesh graded at each
+    end at or next to a pole (see the module docstring).  Raises
+    NumericalError when the value cannot be certified to query.tol.
     """
     params, L = query.params, query.length
     flat = zhong_yang(L)  # pi^2/L^2, or DomainError for a too short L
@@ -151,17 +149,12 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
         return float(params.dim * params.curv)  # sin(sqrt(Kbar) t) closes it
     if query.symmetric:
         return _green_eigenvalue(params, 0.5 * L, query.tol)
-    a, b = query.a, query.b
-    if tan and b == params.domain().hi:
-        a, b = -b, -a  # the even weight mirrors it onto the left pole
-    return _flux_eigenvalue(params, a, b, query.tol)
+    return _flux_eigenvalue(params, query.a, query.b, query.tol)
 
 
 def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
-    """Which ends of [a, b] the flux operator's mesh grades: where N is
-    not an integer, an end within _POLE_NEAR (b - a) of a pole."""
-    if float(params.dim).is_integer():
-        return False, False
+    """Which ends of [a, b] the flux operator's mesh grades: those within
+    _POLE_NEAR (b - a) of a pole."""
     dom, near = params.domain(), _POLE_NEAR * (b - a)
     return (dom.lo_singular and a - dom.lo <= near,
             dom.hi_singular and dom.hi - b <= near)
@@ -174,21 +167,6 @@ def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
 # and half the step that returns the operator's application and the
 # weight mu / c (c a constant that keeps it in range) in whose inner
 # product the operator is symmetric.
-
-def _log_weight(params: ModelParams, t):
-    """log mu(t) on the tan, tanh and coth branches.  On tan the cosine
-    is taken by magnitude, as it can round below zero at a pole;
-    log cosh z = |z| + log1p(e^-2|z|) - log 2 cannot overflow, and
-    log sinh z = z + log(-expm1(-2z)) - log 2 is -inf at the origin."""
-    n1, z = params.dim - 1.0, params.scale * t
-    if params.branch is Branch.TAN:
-        return n1 * np.log(np.abs(np.cos(z)))
-    if params.branch is Branch.TANH:
-        z = np.abs(z)
-        return n1 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
-    with np.errstate(divide="ignore"):
-        return n1 * (z + np.log(-np.expm1(-2.0 * z)) - math.log(2.0))
-
 
 def _cumtrap(g, hh):
     """Trapezoid integrals of g from the first node to each node; hh is
@@ -221,7 +199,7 @@ def _flux_apply(y, P, Q, q, hh):
 
 def _half_level(params: ModelParams, half: float):
     def level(x, hh):
-        lm = _log_weight(params, half * x)
+        lm = log_weight(params, half * x)
         top = float(np.max(lm))
         p, q = np.exp(lm - top), np.exp(top - lm)
         return (lambda v: _green_apply(v, p, q, hh)), p
@@ -239,16 +217,14 @@ def _flux_level(params: ModelParams, a: float, b: float):
         u, du = _mesh_map(x, left, right)
         t = a + (b - a) * u
         t[0], t[-1] = a, b
-        lm = _log_weight(params, t)
+        lm = log_weight(params, t)
         top = float(np.max(lm))
         mu = np.exp(lm - top)
-        p = mu if du is None else mu * du
+        p = mu * du
         P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
         q = np.zeros_like(p)
-        q[1:-1] = np.exp(top - lm[1:-1]) / P[-1]
-        if du is not None:
-            q *= du
-            mu[1:-1] /= du[1:-1]
+        q[1:-1] = np.exp(top - lm[1:-1]) / P[-1] * du[1:-1]
+        mu[1:-1] /= du[1:-1]
         return (lambda z: _flux_apply(z, P, Q, q, hh)), mu
     return level
 
@@ -257,13 +233,11 @@ def _mesh_map(x, left: bool, right: bool):
     """u = g(x) and g'(x) for the flux operator's nodes t = a + (b - a) u:
     graded at the ends that _pole_ends marks by
     g_0(x) = c (x - e tanh(x / e)), e = _GRADE, c = 1 / (1 - e tanh(1 / e)),
-    and (x, None) where it marks none.  g_0 is odd, c x^3 / (3 e^2) to
+    and (x, 1) where it marks none.  g_0 is odd, c x^3 / (3 e^2) to
     leading order at 0, and its slope is c to a relative 4 exp(-2x / e)
     past a few e.  A graded right end takes 1 - g_0(1 - x), both ends
     g_0(1 - g_0(1 - x))."""
-    if not (left or right):
-        return x, None
-    u, du = x, 1.0
+    u, du = x, np.ones_like(x)
     c = 1.0 / (1.0 - _GRADE * math.tanh(1.0 / _GRADE))
     if right:
         th = np.tanh((1.0 - x) / _GRADE)
@@ -314,41 +288,35 @@ def _ritz(v, apply, p, inner):
     return y
 
 
-def _top_eigenvalue(v, apply, p, inner, bracket: float, ritz: bool):
+def _top_eigenvalue(v, apply, p, inner, bracket: float):
     """Power iteration from v until the Collatz-Wielandt bracket
     min (Av)_i / v_i <= rho <= max (Av)_i / v_i on the top eigenvalue
     rho of the operator, over the inner nodes, is within the relative
-    width bracket.  Returns its midpoint, the last iterate and whether
-    Ritz steps are still to be tried.
+    width bracket.  Returns its midpoint and the last iterate.
 
     Where the second eigenvalue lies close to rho, power steps converge
-    too slowly.  So with ritz a Ritz step (_ritz) restarts the iteration
-    at step _RITZ_AFTER, and again every _POLISH steps while each one
-    narrows the bracket more than its _KRYLOV + _POLISH operator
-    applications would have as power steps, at the rate the power steps
-    before the first one showed; the first one that does not is undone,
-    and power steps alone go on.
+    too slowly.  So a Ritz step (_ritz) restarts the iteration at step
+    _RITZ_AFTER, and again every _POLISH steps while the bracket _POLISH
+    steps after each one is narrower than it was just before it; the
+    first one that does not narrow it is undone, and power steps alone
+    go on for the rest of the call.
     """
-    saved = rate = None
+    saved, ritz = None, True
     for step in range(1, _POWER_STEPS + 1):
         w = apply(v)
         ratio = w[inner] / v[inner]
         lo, hi = float(ratio.min()), float(ratio.max())
         v = w / w.max()
         if lo > 0.0 and hi - lo <= bracket * hi:
-            return 0.5 * (lo + hi), v, ritz
-        if step % _POLISH:
+            return 0.5 * (lo + hi), v
+        if not ritz or step < _RITZ_AFTER or step % _POLISH:
             continue
         width = (hi - lo) / hi if lo > 0.0 else math.inf
-        if ritz and step >= _RITZ_AFTER:
-            if saved is not None and not width < saved[0]:
-                v, ritz = saved[1], False
-            else:
-                if rate is None:
-                    rate = min(width / last, 1.0) if width < math.inf else 1.0
-                saved = width * rate ** (_KRYLOV / _POLISH + 1.0), v
-                v = _ritz(v, apply, p, inner)
-        last = width
+        if saved is not None and not width < saved[0]:
+            v, ritz = saved[1], False
+        else:
+            saved = width, v
+            v = _ritz(v, apply, p, inner)
     raise NumericalError(
         f"power iteration not converged in {_POWER_STEPS} steps (bracket "
         f"[{lo!r}, {hi!r}] on 1/lambda, {v.size - 1} cells)")
@@ -367,12 +335,10 @@ def _levels(level, closed: bool, tol: float):
     the pole of a long interval) the step or the cubic can undershoot
     zero, and there the start takes v_m interpolated linearly instead:
     it must be positive for the Collatz-Wielandt bracket to bound the
-    eigenvalue.  A Ritz step undone on one level is not tried on the
-    next.
+    eigenvalue.  Each level tries Ritz steps afresh (_top_eigenvalue).
     """
     inner = slice(1, -1 if closed else None)
     coarse = v = None
-    ritz = True
     m = _MESH_START
     while m <= _MESH_CAP:
         x = np.linspace(0.0, 1.0, m + 1)
@@ -387,7 +353,7 @@ def _levels(level, closed: bool, tol: float):
         if not v[inner].min() > 0.0:
             v = np.where(v > 0.0, v, np.interp(x, x[::2], coarse))
         bracket = _WARM_BRACKET if m == _MESH_START else tol / 8.0
-        rho, v, ritz = _top_eigenvalue(v, apply, p, inner, bracket, ritz)
+        rho, v = _top_eigenvalue(v, apply, p, inner, bracket)
         if m > _MESH_START:
             yield 1.0 / rho
         m *= 2

@@ -71,6 +71,7 @@ __all__ = [
     "branch_for_curvature",
     "drift_eval",
     "riccati_residual",
+    "log_weight",
     "weight_mu",
     "solve_ivp",
     "odd_turn",
@@ -221,23 +222,31 @@ def riccati_residual(params: ModelParams, t):
     return out if arr.ndim else float(out)
 
 
+def log_weight(params: ModelParams, t):
+    """log mu(t), for t in the closed domain.  On tan the cosine is taken
+    by magnitude, as it can round below zero at a pole;
+    log cosh z = |z| + log1p(e^-2|z|) - log 2 cannot overflow, and
+    log sinh z = z + log(-expm1(-2z)) - log 2 is -inf at the origin."""
+    n1, z = params.dim - 1.0, params.scale * t
+    if params.branch is Branch.TAN:
+        return n1 * np.log(np.abs(np.cos(z)))
+    if params.branch is Branch.TANH:
+        z = np.abs(z)
+        return n1 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
+    if params.branch is Branch.COTH:
+        with np.errstate(divide="ignore"):
+            return n1 * (z + np.log(-np.expm1(-2.0 * z)) - math.log(2.0))
+    return np.zeros_like(z)
+
+
 def weight_mu(params: ModelParams, t):
-    """Weight mu with -mu'/mu = T; defined on the closed domain, 0 at poles."""
+    """Weight mu with -mu'/mu = T; defined on the closed domain, 0 (to
+    rounding, on tan) at poles."""
     dom = params.domain()
     arr = np.asarray(t, dtype=float)
     if np.any(arr < dom.lo) or np.any(arr > dom.hi):
         raise DomainError("weight evaluated outside the closed domain")
-    s = params.scale
-    n1 = params.dim - 1.0
-    if params.branch is Branch.TAN:
-        base = np.clip(np.cos(s * arr), 0.0, None)
-        out = base ** n1
-    elif params.branch is Branch.TANH:
-        out = np.cosh(s * arr) ** n1
-    elif params.branch is Branch.COTH:
-        out = np.clip(np.sinh(s * arr), 0.0, None) ** n1
-    else:
-        out = np.ones_like(arr)
+    out = np.exp(log_weight(params, arr))
     return out if arr.ndim else float(out)
 
 

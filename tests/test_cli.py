@@ -124,19 +124,25 @@ def test_numerical_error_exit_3(runner):
 _NO_SCIPY_RUN = """
 import sys
 from specgap.cli import cli
+from specgap.harness import diameter_chain_check
+from specgap.matching import r_epsilon
+from specgap.model import Branch, ModelParams
 for argv in (["sweep", sys.argv[1]],
              ["bound", "-n", "3", "-K", "-1", "-D", "2.5"],
              ["match", "-N", "3", "-K", "1", "-l", "4.5", "-u", "0.75"],
              ["match", "-N", "3", "-K", "-1", "-l", "0.9", "-u", "0.3"]):
     cli.main(argv, standalone_mode=False)
+r_epsilon(ModelParams(3, 1, Branch.TAN), 4.5, -1.2, 0.5, 0.1)
+diameter_chain_check(3.0, 1.0, 4.0, 0.2)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
 """
 
 
 def test_sweep_and_bound_load_no_scipy(tmp_path):
-    # a fresh interpreter: the 45-point sweep grid, one bound report and
-    # two matches (tan, and tanh below the essential threshold)
+    # a fresh interpreter: the 45-point sweep grid, one bound report, two
+    # matches (tan, and tanh below the essential threshold), a dense-output
+    # shot (r_epsilon) and the odd shot (diameter_chain_check)
     grid = tmp_path / "grid.txt"
     grid.write_text("n = 3 4 5\nK = -1 -0.25 0 0.25 1\nD = 0.625 1.25 2.5\n")
     src = os.path.dirname(os.path.dirname(specgap.__file__))

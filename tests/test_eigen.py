@@ -338,9 +338,10 @@ def test_pole_launch_matches_n3_closed_form_tan(b):
     p = ModelParams(3.0, 1.0, Branch.TAN)
     lam = neumann_eigenvalue_shooting(EigenQuery(p, -math.pi / 2, b))
     assert lam == pytest.approx(k * k - 1.0, rel=1e-10)
-    # [-b, pi/2] ends at the right pole: the even weight mirrors it onto
-    # the left-pole launch above
-    assert neumann_eigenvalue_shooting(EigenQuery(p, -b, math.pi / 2)) == lam
+    # the even weight makes [-b, pi/2], which ends at the right pole and
+    # runs as given, the mirror image with the same eigenvalue
+    right = neumann_eigenvalue_shooting(EigenQuery(p, -b, math.pi / 2))
+    assert right == pytest.approx(k * k - 1.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("b", [0.3, 0.8, 1.7, 3.0])
@@ -460,9 +461,9 @@ def _singular_kinds(rng):
 
 
 def test_flux_route_integrates_nothing(integrator_calls, flux_applications):
-    """Intervals whose ends are regular or poles of an integer-N weight
-    take the flux operator, with bounded applications on the singular
-    kinds.  Today: median 60.5, at most 66 over 48 draws."""
+    """Every asymmetric interval takes the flux operator, graded at a
+    pole end, with bounded applications on the singular kinds.  Today:
+    median 59, at most 67 over 48 draws."""
     rng = np.random.default_rng(5)
     per_call = []
     for _ in range(8):
@@ -482,12 +483,12 @@ def test_flux_route_integrates_nothing(integrator_calls, flux_applications):
     assert integrator_calls[0] == 0
 
 
-@pytest.mark.parametrize("n", [1.2, 1.5, 1.8, 2.5, 4.5])
+@pytest.mark.parametrize("n", [1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.5])
 def test_non_integer_pole_ends_take_the_graded_mesh(n, integrator_calls):
     """mu ~ s^(n - 1) at the pole: on the uniform mesh the flux operator's
     Romberg table did not settle there for n < 2.  On the mesh graded at
-    each end at or next to a pole it certifies, with no integrator call,
-    within 1e-10 of the tests-side Pruefer root."""
+    each end at or next to a pole, whatever n is, it certifies with no
+    integrator call, within 1e-10 of the tests-side Pruefer root."""
     half_pi = math.pi / 2
     tan = ModelParams(n, 1.0, Branch.TAN)
     intervals = [(ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8),
@@ -498,9 +499,9 @@ def test_non_integer_pole_ends_take_the_graded_mesh(n, integrator_calls):
         integrator_calls[0] = 0
         got = neumann_eigenvalue_shooting(EigenQuery(params, a, b))
         assert integrator_calls[0] == 0
-        if b == half_pi:
-            a, b = -b, -a  # the left-pole launch the route runs too
         assert any(eigen._pole_ends(params, a, b))
+        if b == half_pi:
+            a, b = -b, -a  # the Pruefer root launches at a pole on the left
         assert abs(got / prufer_eigenvalue(params, a, b) - 1.0) <= 1e-10
 
 
@@ -525,9 +526,9 @@ def test_warm_starts_stay_positive(monkeypatch, n, b):
     starts = []
     top = eigen._top_eigenvalue
 
-    def recorded(v, apply, p, inner, bracket, ritz):
+    def recorded(v, apply, p, inner, bracket):
         starts.append(float(v[inner].min()))
-        return top(v, apply, p, inner, bracket, ritz)
+        return top(v, apply, p, inner, bracket)
 
     monkeypatch.setattr(eigen, "_top_eigenvalue", recorded)
     try:
@@ -552,6 +553,17 @@ def test_long_pole_interval_is_certified_or_typed(n, b):
         assert "float range" not in str(exc)
     else:
         assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, 3.5])
+def test_long_pole_interval_at_theta_l_200_is_certified(n):
+    # coth [0, L] with theta L = 200: a Ritz step that narrows the
+    # bracket is kept on every level, while one that does not is undone
+    # on its own level only
+    p = ModelParams(n, -1.0, Branch.COTH)
+    b = 200.0 / (n - 1.0)
+    got = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
+    assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
 
 
 def test_coth_interval_dominates_central_even_family():
