@@ -1,7 +1,8 @@
 """Scalar DOP853 shots of the Pruefer pair, and Brent's root.
 
 shoot integrates the angle and log-amplitude (phi, rho) of model.py,
-whose right-hand side reads phi only, from t0 until phi first crosses a
+whose right-hand side reads phi only (model writes it as source, which
+kernel builds into a step), from t0 until phi first crosses a
 given angle upward (pi/2 in every shot of the model; inf never stops) or
 the end is reached, and gives up after _MAX_STEPS steps.
 It is the explicit Runge-Kutta method of order 8 with the embedded
@@ -15,14 +16,21 @@ there.
 
 Everything is plain float arithmetic on the two components: scipy's
 per-step cost on a two-component state is almost all numpy overhead on
-tiny arrays.  Nor is the step a loop over the tableau: at import,
-_build_step writes its stage, solution, error and dense-output sums out
-from the tableau tuples as straight-line arithmetic, keeping each sum's
-terms in tableau order and dropping those whose coefficient is 0.0.
-Loops calling a dot product 17 times a step over rows that are mostly
-0.0 took about a third of a shot's time; for finite stages x + 0.0 k is
-x, so the written-out sums round exactly as the loops did and every
-shot takes the same steps.
+tiny arrays.  Nor is the step a loop over the tableau, or a caller of
+the right-hand side: kernel writes, on first use of each right-hand
+side, its stage, solution, error and dense-output sums out from the
+tableau tuples as straight-line arithmetic, with the right-hand side's
+body pasted in at each stage.  Each sum keeps its terms in tableau order
+and drops those whose coefficient is 0.0; for finite stages x + 0.0 k is
+x, and the pasted body does the same operations in the same order as
+the function, so the written-out step rounds exactly as the loops
+calling it do and every shot takes the same steps.  Loops calling a dot
+product 17 times a step over rows that are mostly 0.0 took about a third
+of a shot's time, and calling the right-hand side and its drift at each
+stage about 45% of a step.  A step on one of the model's kernels costs
+about 4.5-5.5 us (CPython 3.11 on a shared 2-CPU x86 host), twelve
+evaluations of sin, cos and tan or tanh and the float arithmetic around
+them.
 
 Where numpy (under errstate) raised on an overflow or an invalid value,
 the shot raises IntegrationFailure: a non-finite norm, error estimate or
@@ -35,6 +43,7 @@ when the ends do not bracket a sign change or it does not converge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,27 +209,42 @@ _D = (
 )
 
 
-def _build_step():
-    """_step and _coefficients, written out from the tableau: each sum
-    keeps its terms in tableau order and drops those whose coefficient is
-    0.0; p<i>, r<i> are phi' and rho' at stage i.
+@functools.cache
+def kernel(args: str, *body: str):
+    """make(ARGS) -> (rhs, step, coefficients) for the right-hand side
+    whose body, a function of (t, phi) over the names ARGS ending in
+    "return phi', rho'", is the lines BODY.
 
-    _step(rhs, t, h, t_new, phi, rho, fp, fr) takes one step of size
-    h = t_new - t from (phi, rho), whose f is (fp, fr), and returns
+    rhs(t, phi) is that function.  step and coefficients are written out
+    from the tableau with BODY pasted in at each stage, not called: each
+    sum keeps its terms in tableau order and drops those whose
+    coefficient is 0.0; p<i>, r<i> are phi' and rho' at stage i.
+    step(t0, h, t_new, phi0, rho0, p0, r0) takes one step of size
+    h = t_new - t0 from (phi0, rho0), whose f is (p0, r0), and returns
     (phi_new, rho_new, the 5th and 3rd order error sums of phi and of
     rho, the stages 0..12 of phi and of rho).
-    _coefficients(rhs, t, h, phi, kp, kr, dphi, drho) returns the seven
-    interpolation coefficients of each component over that step from its
-    stages kp, kr and increments dphi, drho.
+    coefficients(t0, h, phi0, kp, kr, dphi, drho) returns the seven
+    interpolation coefficients of each component over that step from
+    its stages kp, kr and increments dphi, drho.
+    The body reads t, phi, ARGS, its own locals and math's functions; it
+    must not assign the step's other names (t0, h, t_new, phi0, rho0, the
+    p<i> and r<i>, kp, kr, dphi, drho, phi_new, rho_new).
     """
+    *lines, ret = body
     p, r = [f"p{i}" for i in range(16)], [f"r{i}" for i in range(16)]
 
     def dot(row, k):
         return " + ".join(f"{a!r} * {x}" for a, x in zip(row, k) if a)
 
+    def evaluate(i, t, phi):
+        return [f"        t, phi = {t}, {phi}",
+                *(f"        {line}" for line in lines),
+                f"        p{i}, r{i} = {ret[len('return '):]}"]
+
     def stages(table, first):
-        return [f"    p{i}, r{i} = rhs(t + {c!r} * h, phi + h * ({dot(a, p)}))"
-                for i, (c, a) in enumerate(table, first)]
+        return [line for i, (c, a) in enumerate(table, first)
+                for line in evaluate(i, f"t0 + {c!r} * h",
+                                     f"phi0 + h * ({dot(a, p)})")]
 
     def coefficients(d, k):
         return ", ".join([d, f"h * {k[0]} - {d}",
@@ -229,27 +253,32 @@ def _build_step():
 
     kp, kr = ", ".join(p[:13]), ", ".join(r[:13])
     source = "\n".join([
-        "def _step(rhs, t, h, t_new, phi, rho, p0, r0):",
-        *stages(_STAGES, 1),
-        f"    phi_new = phi + h * ({dot(_B, p)})",
-        f"    rho_new = rho + h * ({dot(_B, r)})",
-        "    p12, r12 = rhs(t_new, phi_new)",
-        f"    return (phi_new, rho_new, {dot(_E5, p)}, {dot(_E5, r)},",
-        f"            {dot(_E3, p)}, {dot(_E3, r)}, ({kp}), ({kr}))",
+        f"def make({args}):",
+        "    def rhs(t, phi):",
+        *(f"        {line}" for line in body),
         "",
-        "def _coefficients(rhs, t, h, phi, kp, kr, dphi, drho):",
-        f"    {kp} = kp",
-        f"    {kr} = kr",
+        "    def step(t0, h, t_new, phi0, rho0, p0, r0):",
+        *stages(_STAGES, 1),
+        f"        phi_new = phi0 + h * ({dot(_B, p)})",
+        f"        rho_new = rho0 + h * ({dot(_B, r)})",
+        *evaluate(12, "t_new", "phi_new"),
+        f"        return (phi_new, rho_new, {dot(_E5, p)}, {dot(_E5, r)},",
+        f"                {dot(_E3, p)}, {dot(_E3, r)}, ({kp}), ({kr}))",
+        "",
+        "    def coefficients(t0, h, phi0, kp, kr, dphi, drho):",
+        f"        {kp} = kp",
+        f"        {kr} = kr",
         *stages(_EXTRA, 13),
-        f"    return (({coefficients('dphi', p)}),",
-        f"            ({coefficients('drho', r)}))",
+        f"        return (({coefficients('dphi', p)}),",
+        f"                ({coefficients('drho', r)}))",
+        "",
+        "    return rhs, step, coefficients",
     ])
-    namespace = {"__name__": __name__}
-    exec(compile(source, f"<{__name__} step>", "exec"), namespace)
-    return namespace["_step"], namespace["_coefficients"]
-
-
-_step, _coefficients = _build_step()
+    namespace = {name: f for name, f in vars(math).items()
+                 if not name.startswith("_")}
+    namespace["__name__"] = __name__
+    exec(compile(source, f"<{__name__} kernel>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _rms(x: float, y: float) -> float:
@@ -321,22 +350,24 @@ def _initial_step(rhs, t0, phi0, rho0, fp, fr, span, rtol, atol) -> float:
     return min(100.0 * h0, h1, span)
 
 
-def shoot(rhs, t0: float, phi0: float, rho0: float, t_end: float,
+def shoot(f, t0: float, phi0: float, rho0: float, t_end: float,
           phi_stop: float, rtol: float, atol: float,
           dense_output: bool = False) -> Shot:
-    """Integrate (phi, rho)' = rhs(t, phi) from t0 < t_end until phi
+    """Integrate (phi, rho)' = rhs(t, phi) with f = (rhs, step,
+    coefficients), a kernel's or their loop form, from t0 < t_end until phi
     first crosses phi_stop upward (pi/2 for the event shots, inf for a
     run to t_end), or to t_end.  Raises IntegrationFailure on overflow, a
     non-finite state, a step below the float spacing or _MAX_STEPS
     accepted steps without an end."""
     try:
-        return _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol,
+        return _shoot(*f, t0, phi0, rho0, t_end, phi_stop, rtol, atol,
                       dense_output)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise IntegrationFailure(f"integrator overflow: {exc}") from exc
 
 
-def _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol, dense_output):
+def _shoot(rhs, step, coefficients, t0, phi0, rho0, t_end, phi_stop, rtol,
+           atol, dense_output):
     fp, fr = rhs(t0, phi0)
     h_abs = _initial_step(rhs, t0, phi0, rho0, fp, fr, t_end - t0, rtol, atol)
     nfev, nsteps, steps = 2, 0, []
@@ -355,8 +386,8 @@ def _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol, dense_output):
                     f"integrator step below the float spacing at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            phi_new, rho_new, ep5, er5, ep3, er3, kp, kr = _step(
-                rhs, t, h, t_new, phi, rho, fp, fr)
+            phi_new, rho_new, ep5, er5, ep3, er3, kp, kr = step(
+                t, h, t_new, phi, rho, fp, fr)
             nfev += 12
             sp = atol + max(abs(phi), abs(phi_new)) * rtol
             sr = atol + max(abs(rho), abs(rho_new)) * rtol
@@ -377,8 +408,8 @@ def _shoot(rhs, t0, phi0, rho0, t_end, phi_stop, rtol, atol, dense_output):
         nsteps += 1
         event = phi <= phi_stop <= phi_new
         if event or dense_output:
-            F = _coefficients(rhs, t, h, phi, kp, kr, phi_new - phi,
-                              rho_new - rho)
+            F = coefficients(t, h, phi, kp, kr, phi_new - phi,
+                             rho_new - rho)
             nfev += 3
             steps.append((t, h, (phi, rho), F))
         if event:

@@ -31,7 +31,6 @@ it is what transfers a maximum match into a minimum match.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -177,13 +176,28 @@ def _walk(m, u_star: float, near: float, probe,
     raise BracketFailure("bracket walk exhausted its step budget")
 
 
+def _memo(params: ModelParams, lambda_bar: float, known: dict):
+    """m(a) for the family of PARAMS, memoised for the call from the KNOWN
+    values {a: m(a)} on."""
+    def m(a: float) -> float:
+        if a not in known:
+            known[a] = _family_max(params, lambda_bar, a)
+        return known[a]
+    return m
+
+
 def _match_root(params: ModelParams, m, u_star: float, lo: float, hi: float,
                 case: str) -> MatchResult:
-    """Brent root of m(a) = u_star for starts a in the bracket [lo, hi]."""
+    """Brent root of m(a) = u_star for starts a in the bracket [lo, hi],
+    stopped at the first start whose m a shot resolves to u_star: within
+    model.RTOL u_star."""
     from ._ode import brentq
 
-    a_root = brentq(lambda a: m(a) - u_star, lo, hi, xtol=1e-13,
-                    rtol=8.9e-16)
+    def gap(a: float) -> float:
+        r = m(a) - u_star
+        return 0.0 if abs(r) <= model.RTOL * u_star else r
+
+    a_root = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
     attained = m(a_root)
     return MatchResult(params, a_root, case, u_star, attained,
                        attained - u_star)
@@ -196,7 +210,14 @@ def match_maximum(params: ModelParams, lambda_bar: float,
     Settles the boundary cases (tan anchor, symmetric start, singular
     start, constant-drift band), then selects the drift family and a
     bracket inside it for a Brent root of the monotone map a -> m(a).
-    Each family's m is memoised for the call, so no start is solved twice.
+    The root stops at the first start whose m lies within model.RTOL
+    u_star of the target, the accuracy to which a shot resolves m.  Each
+    family's m is memoised for the call, so no start is solved twice, and
+    starts with m (1 at the symmetric start, by construction) already
+    known are not solved at all.  On negative curvature the singular
+    start's m_min is solved only for targets up to the band around
+    m_const: the targets above are the tanh family's, which m_min
+    neither bounds nor brackets.
     """
     if not (0.0 < u_star <= 1.0):
         raise DomainError(f"target maximum must lie in (0, 1], got {u_star}")
@@ -226,11 +247,21 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         return MatchResult(even, a, f"{prefix}-symmetric", u_star, 1.0,
                            1.0 - u_star)
 
-    m_pole = functools.cache(lambda a: _family_max(pole, lambda_bar, a))
-    m_even = functools.cache(lambda a: _family_max(even, lambda_bar, a))
-    # the pole family turns, so its singular start bounds m from below
+    s = params.scale
+    known = {}
+    m_pole = _memo(pole, lambda_bar, known)
     turns = params.curv > 0 or lambda_bar > params.essential_threshold
-    if turns:
+    # the tanh family matches every target below the essential threshold,
+    # where the pole family does not turn, and those above the
+    # constant-drift band; the singular start neither bounds nor brackets
+    # them
+    tanh = params.curv < 0
+    if params.curv < 0 and turns:
+        m_const = constant_drift_limit(params, lambda_bar)
+        band = max(1e-9, 1e-9 * m_const)
+        tanh = u_star > m_const + band
+    if not tanh:
+        # the pole family turns, so its singular start bounds m from below
         lo_val = m_pole(pole.domain().lo)
         if u_star < lo_val * (1.0 - 1e-12) - 1e-15:
             raise TargetBelowMinimum(
@@ -238,29 +269,28 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         if u_star <= lo_val:
             return MatchResult(pole, pole.domain().lo, f"{prefix}-pole",
                                u_star, lo_val, lo_val - u_star, boundary=True)
-
-    s = params.scale
-    if params.curv < 0 and turns:
-        m_const = constant_drift_limit(params, lambda_bar)
-        if abs(u_star - m_const) <= max(1e-9, 1e-9 * m_const):
+        if params.curv < 0 and abs(u_star - m_const) <= band:
             # distant-start boundary: both families flatten at m_const
             a_big = 14.0 / (2.0 * s) * max(1.0, math.log(10.0))
-            attained = m_even(a_big)
+            attained = _family_max(even, lambda_bar, a_big)
             return MatchResult(even, a_big, "neg-constant", u_star,
                                attained, attained - u_star, boundary=True)
-        if u_star < m_const:
+        if params.curv < 0:
             # coth family: m increases from m_min (a -> 0) to m_const
             a_lo, a_hi = _walk(m_pole, u_star, 0.0,
                                lambda k: 0.25 / s * 1.6 ** k, rising=True)
             return _match_root(pole, m_pole, u_star, a_lo, a_hi,
                                "neg-super-coth")
 
+    # m is 1 at the symmetric start by construction: not solved there
     a_sym = -0.5 * symmetric_interval_length(even, lambda_bar)
     if params.curv > 0:
+        known[a_sym] = 1.0  # on tan the pole family is the even one
         return _match_root(pole, m_pole, u_star, pole.domain().lo, a_sym,
                            "tan-interior")
     # tanh family: m decreases from 1 (symmetric start) toward m_const,
     # or below the threshold to 0 at the critical start and beyond
+    m_even = _memo(even, lambda_bar, {a_sym: 1.0})
     a_lo, a_hi = _walk(m_even, u_star, a_sym,
                        lambda k: a_sym + 2.0 ** k * 0.25 / s, rising=False)
     return _match_root(even, m_even, u_star, a_lo, a_hi,

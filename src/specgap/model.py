@@ -42,13 +42,16 @@ r^2 = k^2 w^2 + w'^2; w' = 0 where phi = pi/2 mod pi.
 Both are one scalar DOP853 (the _ode module), which stops where phi
 crosses pi/2: scipy's solve_ivp takes the same steps, but spends almost
 all of its time in numpy calls on the two-component state, and loading
-scipy at all costs more than a matching call.  _ode's step is
-straight-line float arithmetic, written out from the tableau when _ode
-is imported, so a step costs its twelve right-hand side calls and
-little else.  _ode is imported on first use: where no bytecode is
-cached, compiling it is a visible share of a process that integrates
-nothing, such as specgap sweep or an eigenvalue, and writing out the
-step adds about 2 ms to every import.
+scipy at all costs more than a matching call.  The right-hand sides live
+here as source: the drift of each branch (_DRIFT, which drift_eval also
+evaluates, with numpy) and the two angle forms (_FORMS).  _pruefer hands
+them to _ode.kernel, which writes them into a straight-line step the
+first time each pair of branch and form shoots, so a step is float
+arithmetic and twelve evaluations of math's sin, cos and tan or tanh,
+with no Python call between its stages.  _ode is imported on first use:
+where no bytecode is cached, compiling it is a visible share of a
+process that integrates nothing, such as specgap sweep or an eigenvalue;
+writing out each kernel costs about 2 ms, once per process.
 """
 
 from __future__ import annotations
@@ -116,6 +119,17 @@ class Branch(str, Enum):
     TANH = "tanh"
     COTH = "coth"
     ZERO = "zero"
+
+
+# The drift T(t) of each branch, as source over c = (N-1) sqrt|Kbar|,
+# s = sqrt|Kbar| and the functions tan and tanh: _pruefer writes it into
+# the DOP853 step with math's, drift_eval evaluates it with numpy's.
+_DRIFT = {
+    Branch.TAN: "c * tan(s * t)",
+    Branch.TANH: "-c * tanh(s * t)",
+    Branch.COTH: "-c / tanh(s * t)",
+    Branch.ZERO: "0.0",
+}
 
 
 def branch_for_curvature(curv: float, family: str = "symmetric") -> Branch:
@@ -200,8 +214,10 @@ def drift_eval(params: ModelParams, t):
     if np.any(arr <= dom.lo) or np.any(arr >= dom.hi):
         if not (dom.lo == -math.inf and dom.hi == math.inf):
             raise DomainError("drift evaluated at or beyond a domain endpoint")
+    T = eval(_DRIFT[params.branch], {"tan": np.tan, "tanh": np.tanh},
+             {"c": params.theta, "s": params.scale, "t": arr})
     # np.full broadcasts the zero branch's scalar 0.0 to the input's shape
-    out = np.full(arr.shape, _drift(params, np)(arr))
+    out = np.full(arr.shape, T)
     return out if arr.ndim else float(out)
 
 
@@ -289,31 +305,31 @@ def _launch(params: ModelParams, lam: float, a: float):
             (a, h, A, B))
 
 
-def _drift(params: ModelParams, lib=math):
-    """T(t) with no domain checks: scalar through math (the integrators'
-    right-hand sides) or elementwise through lib = numpy."""
-    s, br = params.scale, params.branch
-    c = (params.dim - 1.0) * s
-    if br is Branch.TAN:
-        return lambda t: c * lib.tan(s * t)
-    if br is Branch.TANH:
-        return lambda t: -c * lib.tanh(s * t)
-    if br is Branch.COTH:
-        return lambda t: -c / lib.tanh(s * t)
-    return lambda t: 0.0
-
-
 # ---------------------------------------------------------------------------
 # The Pruefer pair (phi, rho) to the first w' zero.
 
-def _pruefer_rhs(params: ModelParams, lam: float):
-    """(phi', rho') = (k - T sin(phi) cos(phi), T cos(phi)^2) at (t, phi)."""
-    k, T = math.sqrt(lam), _drift(params)
+# The Pruefer right-hand sides at (t, phi) given T: the names of their
+# scale, then the body of (phi', rho').  The event shot's angle has scale
+# k = sqrt(lam); the odd shot's has (S, q = lam / S) and leaves rho at 0
+# (see odd_turn).
+_FORMS = {
+    "event": ("k",
+              "cp = cos(phi)",
+              "return k - T * sin(phi) * cp, T * cp * cp"),
+    "odd": ("S, q",
+            "sp, cp = sin(phi), cos(phi)",
+            "return S * cp * cp + q * sp * sp - T * sp * cp, 0.0"),
+}
 
-    def rhs(t, phi):
-        Tt, c = T(t), math.cos(phi)
-        return k - Tt * math.sin(phi) * c, Tt * c * c
-    return rhs
+
+def _pruefer(params: ModelParams, form: str, *scale: float):
+    """The _ode kernel of the Pruefer pair in FORM ("event", scale k, or
+    "odd", scale (S, q)) on params' drift, its step written out with that
+    right-hand side at every stage."""
+    from . import _ode
+    names, *body = _FORMS[form]
+    make = _ode.kernel(f"c, s, {names}", f"T = {_DRIFT[params.branch]}", *body)
+    return make(params.theta, params.scale, *scale)
 
 
 @dataclass
@@ -412,10 +428,10 @@ def solve_ivp(params: ModelParams, lambda_bar: float,
     if t0 >= t_cap:
         raise DomainError("start too close to the integration cap")
 
-    rhs = _pruefer_rhs(params, lambda_bar)
+    f = _pruefer(params, "event", math.sqrt(lambda_bar))
 
     def shoot(dense_output=False):
-        return _scipy_solve_ivp(rhs, t0, phi0, rho0, t_cap, _HALF_PI, RTOL,
+        return _scipy_solve_ivp(f, t0, phi0, rho0, t_cap, _HALF_PI, RTOL,
                                 ATOL, dense_output)
 
     shot = shoot()
@@ -464,13 +480,8 @@ def odd_turn(params: ModelParams, lam: float, t_cap: float) -> float | None:
     error control.
     """
     S = min(math.sqrt(lam), lam)
-    q, T = lam / S, _drift(params)
-
-    def rhs(t, phi):
-        s, c = math.sin(phi), math.cos(phi)
-        return S * c * c + q * s * s - T(t) * s * c, 0.0
-
-    shot = _scipy_solve_ivp(rhs, 0.0, 0.0, 0.0, t_cap, _HALF_PI, ODD_RTOL,
+    f = _pruefer(params, "odd", S, lam / S)
+    shot = _scipy_solve_ivp(f, 0.0, 0.0, 0.0, t_cap, _HALF_PI, ODD_RTOL,
                             1e-3 * ODD_RTOL * S)
     return shot.t if shot.event else None
 

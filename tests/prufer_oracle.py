@@ -55,8 +55,8 @@ def prufer_angle(params, lam: float, a: float, b: float,
         raise DomainError(f"launch point {t0} beyond the end {b}")
     if t0 == b:
         return phi0
-    return _ode.shoot(model._pruefer_rhs(params, lam), t0, phi0, rho0, b,
-                      math.inf, tol, tol).phi
+    return _ode.shoot(model._pruefer(params, "event", math.sqrt(lam)), t0,
+                      phi0, rho0, b, math.inf, tol, tol).phi
 
 
 def prufer_eigenvalue(params, a: float, b: float, tol: float = 1e-10) -> float:

@@ -18,6 +18,8 @@ from specgap.matching import (
 )
 from specgap.model import Branch, ModelParams, solve_ivp
 
+from test_model import n3_first_maximum
+
 TAN3 = ModelParams(3.0, 1.0, Branch.TAN)
 TANH3 = ModelParams(3.0, -1.0, Branch.TANH)
 COTH3 = ModelParams(3.0, -1.0, Branch.COTH)
@@ -182,6 +184,57 @@ def test_match_solves_each_start_once(monkeypatch, params, lam, u, case):
     monkeypatch.setattr(matching.model, "solve_ivp", counted)
     assert match_maximum(params, lam, u).case == case
     assert len(starts) == len(set(starts)), starts
+
+
+@pytest.mark.parametrize("params, lam, u, case", [
+    (TAN3, 4.5, 0.7, "tan-interior"),
+    (COTH3, 3.0, 0.07, "neg-super-coth"),
+    (COTH3, 3.0, 0.3, "neg-super-tanh"),
+    (COTH3, 0.9, 0.9, "neg-sub"),
+])
+def test_match_stops_where_a_shot_resolves(params, lam, u, case):
+    # Brent stops at the first start within model.RTOL u of the target;
+    # the n = 3 closed form at that start still attains u to 1e-9
+    res = match_maximum(params, lam, u)
+    assert res.case == case
+    assert abs(res.residual) <= matching.model.RTOL * u
+    _, m = n3_first_maximum(res.params.branch.value, lam=lam, a=res.a,
+                            K=params.curv)
+    assert m == pytest.approx(u, abs=1e-9)
+
+
+def _count_shots(monkeypatch, cases):
+    shoot, shots = matching.model._scipy_solve_ivp, []
+
+    def counted(*args, **kwargs):
+        shots[-1] += 1
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(matching.model, "_scipy_solve_ivp", counted)
+    for params, lam, u in cases:
+        shots.append(0)
+        match_maximum(params, lam, u)
+    return shots
+
+
+def test_match_shot_count(monkeypatch):
+    # the tan, supercritical and subthreshold families of the benchmark's
+    # matching; the count repeats exactly (134 before the stopping rule,
+    # m = 1 at the symmetric start and no m_min shot for tanh targets)
+    cases = ([(TAN3, 4.5, u) for u in (0.55, 0.7, 0.85, 0.95)]
+             + [(COTH3, 3.0, u) for u in (0.07, 0.09, 0.3, 0.6, 0.9)]
+             + [(COTH3, 0.9, u) for u in (0.05, 0.3, 0.6, 0.9)])
+    assert sum(_count_shots(monkeypatch, cases)) == 106
+
+
+def test_match_shot_count_on_the_m_zero_plateau(monkeypatch):
+    # small subthreshold targets, whose walk probes past the critical
+    # start where m counts as 0: no more shots than 16, 18 and 16
+    cases = [(ModelParams(4.0, -0.5, Branch.COTH), 0.3, 0.0044),
+             (ModelParams(4.0, -0.5, Branch.COTH), 0.3, 1e-3),
+             (COTH3, 0.9, 0.0016)]
+    shots = _count_shots(monkeypatch, cases)
+    assert all(n <= most for n, most in zip(shots, (16, 18, 16))), shots
 
 
 def test_family_max_zero_only_below_threshold():

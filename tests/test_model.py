@@ -1,6 +1,7 @@
 """Tests for the comparison-model ODE layer: drift families, the
 Neumann shooting IVP, and the first-maximum search."""
 
+import functools
 import math
 import warnings
 from operator import mul
@@ -413,7 +414,7 @@ def test_shot_takes_scipy_dop853_steps(monkeypatch, params, lam, a,
     assert sol.certificate == certificate
     sol.w_at(sol.a)  # the dense re-run
     (args, shot), (_, dense) = calls
-    rhs, t0, phi0, rho0, t_end, _, rtol, atol = args[:8]
+    (rhs, _, _), t0, phi0, rho0, t_end, _, rtol, atol = args[:8]
 
     def turn(t, y):
         return y[0] - math.pi / 2
@@ -439,14 +440,40 @@ def test_shot_takes_scipy_dop853_steps(monkeypatch, params, lam, a,
         assert np.all(diff <= atol + rtol * np.abs(ref.sol(t)))
 
 
-# _ode's step is written out from the tableau; here is its loop form
+# _ode's kernels write the right-hand side into a step written out from
+# the tableau; here is its loop form, driven by the right-hand side as a
+# closure over math's drift
+
+def reference_rhs(params, form, *scale):
+    """The Pruefer right-hand side of model._pruefer(params, form, *scale)
+    as a closure (phi', rho') at (t, phi)."""
+    s = params.scale
+    c = (params.dim - 1.0) * s
+    T = {Branch.TAN: lambda t: c * math.tan(s * t),
+         Branch.TANH: lambda t: -c * math.tanh(s * t),
+         Branch.COTH: lambda t: -c / math.tanh(s * t),
+         Branch.ZERO: lambda t: 0.0}[params.branch]
+    if form == "event":
+        (k,) = scale
+
+        def rhs(t, phi):
+            Tt, c = T(t), math.cos(phi)
+            return k - Tt * math.sin(phi) * c, Tt * c * c
+    else:
+        S, q = scale
+
+        def rhs(t, phi):
+            s, c = math.sin(phi), math.cos(phi)
+            return S * c * c + q * s * s - T(t) * s * c, 0.0
+    return rhs
+
 
 def _dot(a, k):
     return sum(map(mul, a, k))
 
 
 def reference_step(rhs, t, h, t_new, phi, rho, fp, fr):
-    """_ode._step as loops over the tableau rows, 0.0 terms included."""
+    """A kernel's step as loops over the tableau rows, 0.0 terms included."""
     kp, kr = [fp], [fr]
     for c, a in _ode._STAGES:
         p, r = rhs(t + c * h, phi + h * _dot(a, kp))
@@ -462,7 +489,7 @@ def reference_step(rhs, t, h, t_new, phi, rho, fp, fr):
 
 
 def reference_coefficients(rhs, t, h, phi, kp, kr, dphi, drho):
-    """_ode._coefficients as loops over the tableau rows."""
+    """A kernel's coefficients as loops over the tableau rows."""
     kp, kr = list(kp), list(kr)
     for c, a in _ode._EXTRA:
         p, r = rhs(t + c * h, phi + h * _dot(a, kp))
@@ -473,6 +500,21 @@ def reference_coefficients(rhs, t, h, phi, kp, kr, dphi, drho):
                  for d, k in ((dphi, kp), (drho, kr)))
 
 
+def loop_form(rhs):
+    """The (rhs, step, coefficients) that _ode.shoot takes, as loops."""
+    return (rhs, functools.partial(reference_step, rhs),
+            functools.partial(reference_coefficients, rhs))
+
+
+def scale_of(form, lam):
+    """The angle's scale: k, or (S, q) as in model.odd_turn."""
+    k = math.sqrt(lam)
+    if form == "event":
+        return (k,)
+    S = min(k, lam)
+    return (S, lam / S)
+
+
 @pytest.mark.parametrize("params,t_lo,t_hi,h_hi", [
     (TAN3, -1.4, 0.9, 0.3),
     (TANH3, -6.0, 6.0, 2.0),
@@ -480,45 +522,71 @@ def reference_coefficients(rhs, t, h, phi, kp, kr, dphi, drho):
     (ZERO3, -6.0, 6.0, 2.0),
 ])
 def test_step_equals_loop_form(params, t_lo, t_hi, h_hi):
-    """The written-out step and dense coefficients round exactly as the
-    loops do: dropping a 0.0 * k term adds nothing to a finite sum."""
+    """A kernel's right-hand side, step and dense coefficients, in both
+    angle forms, round exactly as the closure and the loops do: the same
+    operations in the same order, and dropping a 0.0 * k term adds
+    nothing to a finite sum."""
     rng = np.random.default_rng(14)
     for _ in range(200):
         lam, t, h, phi, rho = (float(x) for x in rng.uniform(
             (0.1, t_lo, 1e-4, -3.0, -30.0), (60.0, t_hi, h_hi, 3.0, 30.0)))
-        rhs = model._pruefer_rhs(params, lam)
-        fp, fr = rhs(t, phi)
-        step = (rhs, t, h, t + h, phi, rho, fp, fr)
-        got = _ode._step(*step)
-        assert got == reference_step(*step)
-        dense = (rhs, t, h, phi, got[6], got[7], got[0] - phi, got[1] - rho)
-        assert _ode._coefficients(*dense) == reference_coefficients(*dense)
+        for form in ("event", "odd"):
+            scale = scale_of(form, lam)
+            rhs, step, coefficients = model._pruefer(params, form, *scale)
+            ref = reference_rhs(params, form, *scale)
+            fp, fr = rhs(t, phi)
+            assert (fp, fr) == ref(t, phi)
+            args = (t, h, t + h, phi, rho, fp, fr)
+            got = step(*args)
+            assert got == reference_step(ref, *args)
+            dense = (t, h, phi, got[6], got[7], got[0] - phi, got[1] - rho)
+            assert coefficients(*dense) == reference_coefficients(ref, *dense)
 
 
-@pytest.mark.parametrize("params,lam,a,certificate", SHOTS)
-def test_shot_equals_loop_form_shot(monkeypatch, params, lam, a,
-                                    certificate):
-    """Whole shots on the loop form take the same steps to the last bit,
-    with and without dense output."""
+def kernel_shots(monkeypatch, params, lam, a):
+    """The certificate of solve_ivp(params, lam, a), and (closure
+    right-hand side, kernel, shot arguments) of its event shot and of an
+    odd-form shot over its span, from phi = 0 at odd_turn's tolerances."""
     calls = []
     with monkeypatch.context() as m:
         m.setattr(model, "_scipy_solve_ivp",
                   lambda *args: calls.append(args) or _ode.shoot(*args))
-        solve_ivp(params, lam, a)
-    args = calls[0][:8]  # without dense_output
-    got = [_ode.shoot(*args, dense_output=dense) for dense in (False, True)]
-    monkeypatch.setattr(_ode, "_step", reference_step)
-    monkeypatch.setattr(_ode, "_coefficients", reference_coefficients)
-    want = [_ode.shoot(*args, dense_output=dense) for dense in (False, True)]
-    fields = ("t", "phi", "rho", "event", "nfev", "nsteps")
-    for g, w in zip(got, want):
-        assert g.event == (certificate == "event")
-        assert [getattr(g, f) for f in fields] == [getattr(w, f)
-                                                   for f in fields]
-    g, w = got[1].sol, want[1].sol
-    assert (g.t_min, g.t_max) == (w.t_min, w.t_max)
-    for name in ("_ends", "_t_old", "_h", "_y0", "_F"):
-        assert np.array_equal(getattr(g, name), getattr(w, name))
+        certificate = solve_ivp(params, lam, a).certificate
+    (f, *args), = calls
+    S, q = scale_of("odd", lam)
+    odd = (args[0], 0.0, 0.0, args[3], args[4], model.ODD_RTOL,
+           1e-3 * model.ODD_RTOL * S)
+    return certificate, [
+        (reference_rhs(params, "event", *scale_of("event", lam)), f,
+         args[:7]),
+        (reference_rhs(params, "odd", S, q),
+         model._pruefer(params, "odd", S, q), odd)]
+
+
+# with the zero branch, whose error estimate is rounding noise alone, so
+# that its steps need not be scipy's
+@pytest.mark.parametrize("params,lam,a,certificate",
+                         SHOTS + [(ZERO3, 2.0, -1.0, "event")])
+def test_shot_equals_loop_form_shot(monkeypatch, params, lam, a,
+                                    certificate):
+    """Whole shots on a kernel, in both angle forms, take the same steps
+    to the last bit as on the loop form, with and without dense output."""
+    got_certificate, shots = kernel_shots(monkeypatch, params, lam, a)
+    assert got_certificate == certificate
+    for rhs, f, args in shots:
+        got = [_ode.shoot(f, *args, dense_output=dense)
+               for dense in (False, True)]
+        want = [_ode.shoot(loop_form(rhs), *args, dense_output=dense)
+                for dense in (False, True)]
+        fields = ("t", "phi", "rho", "event", "nfev", "nsteps")
+        for g, w in zip(got, want):
+            assert ([getattr(g, name) for name in fields]
+                    == [getattr(w, name) for name in fields])
+        g, w = got[1].sol, want[1].sol
+        assert (g.t_min, g.t_max) == (w.t_min, w.t_max)
+        for name in ("_ends", "_t_old", "_h", "_y0", "_F"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+    assert got[0].event  # the odd shot turns on each span
 
 
 @pytest.mark.parametrize("params,lam,a,certificate", [
@@ -528,43 +596,42 @@ def test_shot_equals_loop_form_shot(monkeypatch, params, lam, a,
 ])
 def test_nfev_counts_rhs_calls(monkeypatch, params, lam, a, certificate):
     """Shot.nfev, which the benchmark reads as its right-hand side
-    count, is the number of calls, with and without dense output."""
-    counted = []
-
-    def counting(rhs, *args):
+    count, is the number of stage evaluations, with and without dense
+    output: the calls of the loop form, whose shots are the kernel's."""
+    got_certificate, shots = kernel_shots(monkeypatch, params, lam, a)
+    assert got_certificate == certificate
+    for rhs, f, args in shots:
         calls = []
 
         def rhs_counted(t, phi):
             calls.append(t)
             return rhs(t, phi)
 
-        shot = _ode.shoot(rhs_counted, *args)
-        counted.append((shot, len(calls)))
-        return shot
-
-    monkeypatch.setattr(model, "_scipy_solve_ivp", counting)
-    sol = solve_ivp(params, lam, a)
-    assert sol.certificate == certificate
-    sol.w_at(sol.a)  # the dense re-run
-    (plain, n_plain), (dense, n_dense) = counted
-    assert plain.sol is None and dense.sol is not None
-    assert plain.nfev == n_plain
-    assert dense.nfev == n_dense > n_plain
+        counted = []
+        for dense in (False, True):
+            calls.clear()
+            shot = _ode.shoot(loop_form(rhs_counted), *args,
+                              dense_output=dense)
+            assert (shot.sol is not None) == dense
+            assert shot.nfev == len(calls)
+            assert shot.nfev == _ode.shoot(f, *args, dense_output=dense).nfev
+            counted.append(len(calls))
+        assert counted[1] > counted[0]
 
 
 @pytest.mark.parametrize("bad", range(14))
 def test_infinite_rhs_value_raises(bad):
     # calls 0 and 1 are the start and the initial-step probe, 2..13 the
     # twelve of the first step
-    rhs, calls = model._pruefer_rhs(TAN3, 6.0), []
+    rhs, calls = reference_rhs(TAN3, "event", math.sqrt(6.0)), []
 
     def spiked(t, phi):
         calls.append(t)
         return (math.inf, math.inf) if len(calls) == bad + 1 else rhs(t, phi)
 
     with pytest.raises(IntegrationFailure):
-        _ode.shoot(spiked, -1.0, -0.5 * math.pi, 0.0, 1.5, 0.5 * math.pi,
-                   1e-10, 1e-10)
+        _ode.shoot(loop_form(spiked), -1.0, -0.5 * math.pi, 0.0, 1.5,
+                   0.5 * math.pi, 1e-10, 1e-10)
 
 
 @pytest.mark.parametrize("f,a,b", [
