@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,11 +60,26 @@ __all__ = [
 ]
 
 
-def solve_banded(*args, **kwargs):
-    """scipy.linalg.solve_banded, imported on the first call (scipy is not
-    loaded with the package); tests and the benchmark tracer replace it."""
-    from scipy.linalg import solve_banded
-    return solve_banded(*args, **kwargs)
+def dptsv(d, e, b):
+    """Solve the symmetric positive definite tridiagonal system with
+    diagonal ``d``, off-diagonal ``e`` and right-hand side(s) ``b`` by
+    LAPACK's ``dptsv`` (L D L^T, no pivoting), which overwrites all three
+    when they are contiguous float arrays.  scipy is imported on the first
+    call (it is not loaded with the package); tests replace this name.
+
+    ``dptsv`` reports a pivot that is not positive through ``info`` and
+    then leaves ``b`` unsolved, so that raises ``NumericalError``.
+    """
+    from scipy.linalg.lapack import dptsv as lapack_dptsv
+    pivots, _, x, info = lapack_dptsv(d, e, b, overwrite_d=1, overwrite_e=1,
+                                      overwrite_b=1)
+    if info > 0:
+        raise NumericalError(
+            f"pivot {info} of the tridiagonal system is "
+            f"{float(pivots[info - 1])!r}, not positive")
+    if info < 0:
+        raise NumericalError(f"dptsv rejected argument {-info}")
+    return x
 
 
 def __getattr__(name):
@@ -93,8 +109,9 @@ class CurvatureProfile:
     def __post_init__(self):
         if not (self.length > 0) or not math.isfinite(self.length):
             raise DomainError(f"length must be positive, got {self.length}")
-        if self.dim < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.dim}")
+        if not 2 <= self.dim < math.inf:
+            raise DomainError(
+                f"dimension must be finite and >= 2, got {self.dim}")
 
     def _wrap(self, t: np.ndarray) -> np.ndarray:
         if self.geometry is Geometry.CIRCLE:
@@ -198,15 +215,38 @@ def rho_K(profile: CurvatureProfile, K: float, t) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
+def _mesh_cells(mesh, least: int) -> int:
+    """``mesh`` as an int of at least ``least`` cells; a fractional mesh
+    would build cells that do not end at L."""
+    try:
+        mesh = operator.index(mesh)
+    except TypeError:
+        raise DomainError(f"mesh must be an integer, got {mesh!r}") from None
+    if mesh < least:
+        raise MeshTooCoarse(f"need >= {least} mesh points, got {mesh}")
+    return mesh
+
+
 def k_bar(profile: CurvatureProfile, K: float, p: float = 1.0,
           mesh: int = 8192) -> float:
-    """L^p mean of the deficit: (1/L int rho_K^p dt)^(1/p)."""
-    if p < 1:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
-    L = profile.length
-    t = np.linspace(0.0, L, mesh + 1)
-    vals = rho_K(profile, K, t) ** p
-    return float(_trapezoid(vals, t) / L) ** (1.0 / p)
+    """L^p mean of the deficit: (1/L int rho_K^p dt)^(1/p).
+
+    The deficit is divided by its maximum before the power is taken, so
+    the mean neither overflows nor underflows where k_bar is a float.
+    """
+    if not math.isfinite(K):
+        raise DomainError(f"K must be finite, got {K}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    mesh = _mesh_cells(mesh, 1)
+    rk = rho_K(profile, K, np.linspace(0.0, profile.length, mesh + 1))
+    top = float(np.max(rk))
+    if not math.isfinite(top):
+        raise NumericalError(f"the deficit overflows at K = {K!r}")
+    if top == 0.0:
+        return 0.0
+    mean = float(_trapezoid((rk / top) ** p, dx=1.0 / mesh))
+    return top * mean ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +273,34 @@ class JSolution:
 _MAX_ITER = 100   # inverse-iteration steps; 0 to 8 is usual, 16 seen
 _STEP_TOL = 1e-6  # largest relative change of any entry of v in the last step
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _shifted_solve(d: np.ndarray, off: float, v: np.ndarray,
+                   periodic: bool) -> np.ndarray:
+    """x with (s - A) x = v, for the operator A of ``_top_eigenpair``.
+
+    ``d`` is the diagonal s - diag(A) > 0 of the shifted matrix, which it
+    overwrites; its off-diagonal entries are -off, and on the circle also
+    the two corners.  One ``dptsv`` call factors the tridiagonal part.  On
+    the circle it takes the right-hand sides v, e_0 and e_{m-1} at once,
+    and the corners enter through a 2 x 2 Woodbury system, as sums of
+    nonnegative terms.
+    """
+    m = d.size
+    e = np.full(m - 1, -off)
+    if not periodic:
+        return dptsv(d, e, v.copy())
+    rhs = np.zeros((m, 3), order="F")
+    rhs[:, 0] = v
+    rhs[0, 1] = rhs[-1, 2] = 1.0
+    y = dptsv(d, e, rhs)
+    # x = y + off (x_{m-1} p + x_0 q), p = T^-1 e_0, q = T^-1 e_{m-1}
+    p, q = y[:, 1], y[:, 2]
+    x0, x1 = np.linalg.solve(
+        [[1.0 - off * q[0], -off * p[0]],
+         [-off * q[-1], 1.0 - off * p[-1]]], y[[0, -1], 0])
+    return y[:, 0] + off * (x1 * p + x0 * q)
 
 
 def _top_eigenpair(V: np.ndarray, h: float,
@@ -244,10 +312,8 @@ def _top_eigenpair(V: np.ndarray, h: float,
     from v = ones, solve (s - A) v_new = v with the upper Collatz-Wielandt
     shift s = max_i (A v)_i / v_i, which keeps s - A a nonsingular M-matrix
     and v_new > 0, while min_i (A v)_i / v_i <= sigma <= s brackets the
-    eigenvalue.  Each step is one ``solve_banded`` call; on the circle it
-    takes the right-hand sides v, e_0 and e_{m-1}, and the two corner
-    entries enter through a 2 x 2 Woodbury system, as sums of nonnegative
-    terms.
+    eigenvalue.  s - A is symmetric positive definite, so each step is one
+    L D L^T factorisation without pivoting (``_shifted_solve``).
 
     J = W^(-1/(tau-1)) reads every entry of v relative to itself, and far
     from a deep well v is many decades below its maximum, where it
@@ -264,18 +330,12 @@ def _top_eigenpair(V: np.ndarray, h: float,
     ratios scatter by about sqrt(mesh)/4 floors.)  Returns the Rayleigh
     quotient and v with max v = 1.
     """
-    m = V.size
     off = 1.0 / h**2
     diag = V - 2.0 * off
     if not periodic:
         diag[[0, -1]] += off   # reflecting end: no flux through the wall
     floor = 4.0 * _EPS * (4.0 * off + float(np.max(V)))
-    band = np.empty((3, m))
-    band[0], band[2] = -off, -off
-    rhs = np.zeros((m, 3 if periodic else 1))
-    if periodic:
-        rhs[0, 1] = rhs[-1, 2] = 1.0
-    v = np.ones(m)
+    v = np.ones(V.size)
     rq, change = math.nan, math.inf
     for _ in range(_MAX_ITER):
         Av = diag * v
@@ -291,18 +351,7 @@ def _top_eigenpair(V: np.ndarray, h: float,
                                and change <= _STEP_TOL):
             return rq_new, v
         rq = rq_new
-        band[1] = s - diag
-        rhs[:, 0] = v
-        y = solve_banded((1, 1), band, rhs)
-        if periodic:
-            # x = y + off (x_{m-1} p + x_0 q), p = T^-1 e_0, q = T^-1 e_{m-1}
-            p, q = y[:, 1], y[:, 2]
-            x0, x1 = np.linalg.solve(
-                [[1.0 - off * q[0], -off * p[0]],
-                 [-off * q[-1], 1.0 - off * p[-1]]], y[[0, -1], 0])
-            v_new = y[:, 0] + off * (x1 * p + x0 * q)
-        else:
-            v_new = y[:, 0]
+        v_new = _shifted_solve(s - diag, off, v, periodic)
         v_new = v_new / np.max(v_new)
         if not np.all(v_new > 0.0):
             raise NonPositiveEigenfunction(
@@ -326,18 +375,29 @@ def solve_J(profile: CurvatureProfile, K: float, tau: float = 2.0,
     inverse-iteration step, which returns W > 0 with max W = 1 or raises.
     sigma_tilde is the Rayleigh quotient of W.  J is normalized to mean 1.
     """
-    if tau <= 1:
-        raise DomainError(f"tau must exceed 1, got {tau}")
-    if mesh < 16:
-        raise MeshTooCoarse(f"need >= 16 mesh points, got {mesh}")
+    if not math.isfinite(K):
+        raise DomainError(f"K must be finite, got {K}")
+    if not 1 < tau < math.inf:
+        raise DomainError(f"tau must be finite and exceed 1, got {tau}")
+    mesh = _mesh_cells(mesh, 16)
     L = profile.length
     h = L / mesh
+    # 1/h^2 a normal float, and 4/h^2 + max V (the operator's norm bound,
+    # which sets the rounding floor of _top_eigenpair) finite
+    if not 4.0 * _TINY < h * h < 1.0 / _TINY:
+        raise DomainError(f"mesh width L/mesh = {h!r} puts 1/h^2 outside "
+                          "the float range")
     periodic = profile.geometry is Geometry.CIRCLE
     if periodic:
         t = np.arange(mesh) * h
     else:
         t = (np.arange(mesh) + 0.5) * h
-    V = 2.0 * (tau - 1.0) * rho_K(profile, K, t)
+    rk = rho_K(profile, K, t)
+    scale = 2.0 * (tau - 1.0)
+    if not scale * float(np.max(rk)) + 4.0 / (h * h) < math.inf:
+        raise DomainError(f"the potential 2 (tau - 1) rho_K overflows at "
+                          f"K = {K!r}, tau = {tau!r}")
+    V = scale * rk
     sigma_tilde, W = _top_eigenpair(V, h, periodic)
     J = W ** (-1.0 / (tau - 1.0))
     J = J / np.mean(J)

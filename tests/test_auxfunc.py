@@ -113,8 +113,9 @@ def test_from_csv_malformed_reports_line(tmp_path):
 def test_profile_validation():
     with pytest.raises(DomainError):
         CurvatureProfile.constant(1.0, length=0.0, dim=3)
-    with pytest.raises(DomainError):
-        CurvatureProfile.constant(1.0, length=1.0, dim=1)
+    for dim in (1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            CurvatureProfile.constant(1.0, length=1.0, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,11 @@ def test_k_bar_constant_deficit():
         assert k_bar(prof, 1.0, p=p) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(DomainError):
         k_bar(prof, 1.0, p=0.5)
+    # rho_K^p leaves the float range although k_bar does not
+    huge = CurvatureProfile.constant(1e300, length=2.0, dim=3)
+    assert k_bar(huge, 1e300, p=2.0) == pytest.approx(1e300, rel=1e-12)
+    tiny = CurvatureProfile.constant(1e-200, length=2.0, dim=3)
+    assert k_bar(tiny, 1e-200, p=2.0) == pytest.approx(1e-200, rel=1e-12)
 
 
 def test_k_bar_scales_with_depth():
@@ -191,6 +197,15 @@ def test_solve_J_validation():
         solve_J(prof, K=1.0, tau=1.0)
     with pytest.raises(MeshTooCoarse):
         solve_J(prof, K=1.0, mesh=8)
+    # a fractional mesh would build cells that run past L
+    for mesh in (1000.5, 1024.0):
+        with pytest.raises(DomainError):
+            solve_J(prof, K=1.0, mesh=mesh)
+        with pytest.raises(DomainError):
+            k_bar(prof, K=1.0, mesh=mesh)
+    with pytest.raises(MeshTooCoarse):
+        k_bar(prof, K=1.0, mesh=0)
+    assert solve_J(prof, K=1.0, mesh=np.int64(64)).mesh == 64
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +418,15 @@ def test_circle_richardson_matches_mathieu_closed_form(c, tau):
 
 
 def test_inverse_iteration_steps_are_few(monkeypatch):
+    # one dptsv call per inverse-iteration step, on both geometries
     calls = []
-    real = auxfunc.solve_banded
+    real = auxfunc.dptsv
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(auxfunc, "solve_banded", counted)
+    monkeypatch.setattr(auxfunc, "dptsv", counted)
     cases = [
         (CurvatureProfile.bump(2.0, 0.9, 1.0, 4.0, 2 * math.pi, 3), 2.0, 4096),
         (_mathieu(0.4), 2.7, 1024),
@@ -423,6 +439,34 @@ def test_inverse_iteration_steps_are_few(monkeypatch):
         calls.clear()
         solve_J(prof, K=1.0, tau=tau, mesh=mesh)
         assert len(calls) <= 8, (prof, mesh, len(calls))
+
+
+def test_dptsv_raises_on_a_non_positive_pivot():
+    # LAPACK leaves the right-hand side unsolved; it must not come back
+    with pytest.raises(NumericalError, match="pivot 2"):
+        auxfunc.dptsv(np.array([1.0, -1.0, 1.0]), np.array([-1.0, -1.0]),
+                      np.ones(3))
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["interval", "circle"])
+def test_shifted_solve_matches_dense_solve(periodic):
+    m, h = 64, 0.1
+    rng = np.random.default_rng(3)
+    V = rng.uniform(0.0, 5.0, m)
+    off = 1.0 / h ** 2
+    A = np.diag(V - 2.0 * off) + off * (np.eye(m, k=1) + np.eye(m, k=-1))
+    if periodic:
+        A[0, -1] = A[-1, 0] = off
+    else:
+        A[0, 0] += off
+        A[-1, -1] += off
+    # the Collatz-Wielandt shift of v = ones, as in the first step
+    s = float(np.max(A.sum(axis=1)))
+    v = rng.uniform(0.5, 1.5, m)
+    x = auxfunc._shifted_solve(s - np.diag(A), off, v, periodic)
+    ref = np.linalg.solve(s * np.eye(m) - A, v)
+    assert float(np.max(np.abs(x / ref - 1.0))) <= 1e-13
+    assert np.all(x > 0.0)
 
 
 def test_iteration_cap_raises_numerical_error(monkeypatch):

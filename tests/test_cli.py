@@ -443,6 +443,14 @@ def test_jsolve_record(runner, profile):
     assert rec["flags"]["positive"] and rec["flags"]["sigma_nonneg"]
 
 
+@pytest.mark.parametrize("opt", ["--tau", "--kbar-p"])
+def test_jsolve_non_finite_input_exits_2(runner, profile, opt):
+    res = runner.invoke(cli, ["jsolve", str(profile), "-L", str(2 * math.pi),
+                              "-n", "3", "-K", "1", "--mesh", "64", opt,
+                              "nan"])
+    assert res.exit_code == 2, res.output
+
+
 def test_perturb_record(runner):
     res = runner.invoke(cli, ["perturb", "-n", "3", "-d", "0.1",
                               "-l", "1", "-K", "1", "--format", "json"])

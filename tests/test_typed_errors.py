@@ -9,9 +9,11 @@ exit codes 2 and 3, so it must never exit 1.
 
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from specgap.auxfunc import CurvatureProfile, Geometry, k_bar, solve_J
 from specgap.bounds import bound_report
 from specgap.cli import cli
 from specgap.eigen import (EigenQuery, lambda1_model,
@@ -28,6 +30,13 @@ EXTREMES = (math.inf, -math.inf, math.nan, 1e-300, 1e300)
 TAN3 = ModelParams(3.0, 1.0, Branch.TAN)
 TANH3 = ModelParams(3.0, -1.0, Branch.TANH)
 
+
+def _mathieu(length, geometry=Geometry.CIRCLE):
+    # a deficit 0.5 (1 + cos t) below (n-1) K = 2 at K = 1
+    return CurvatureProfile(geometry, length, 3,
+                            lambda t: 2.0 - 0.5 * (1.0 + np.cos(t)))
+
+
 # (callable, valid arguments); each slot is replaced in turn
 CALLS = [
     (lambda1_model, (3.0, 1.0, 2.0)),
@@ -43,16 +52,28 @@ CALLS = [
     (diameter_chain_check, (3.0, 1.0, 2.5, 0.1)),
     (lambda lam, a: solve_ivp(TANH3, lam, a), (3.0, -1.0)),
     (lambda lam, a: solve_ivp(TAN3, lam, a), (4.5, -math.pi / 2)),
+    (lambda L, K, tau, mesh: solve_J(_mathieu(L), K, tau, mesh),
+     (2 * math.pi, 1.0, 2.0, 64)),
+    (lambda L, K, tau, mesh: solve_J(_mathieu(L, Geometry.INTERVAL), K, tau,
+                                     mesh), (math.pi, 1.0, 2.5, 64)),
+    (lambda L: solve_J(CurvatureProfile.constant(2.5, L, 3), 1.0), (1.0,)),
+    (lambda K, p, mesh: k_bar(_mathieu(2 * math.pi), K, p, mesh),
+     (1.0, 2.0, 64)),
+    (CurvatureProfile.constant, (2.5, 1.0, 3)),
 ]
 
+# jsolve also takes the profile file the test writes, after its options
 COMMANDS = [
     ("bound", ("-n", "3", "-K", "1", "-D", "2")),
     ("match", ("-N", "3", "-K", "1", "-l", "4.5", "-u", "0.75")),
     ("perturb", ("-n", "3", "-d", "0.1", "-l", "2", "-K", "1")),
+    ("jsolve", ("-L", "6.283185307179586", "-n", "3", "-K", "1",
+                "--tau", "2", "--mesh", "64", "--kbar-p", "2",
+                "--delta", "0.5")),
 ]
 
 
-def test_extreme_inputs_raise_only_typed_errors():
+def test_extreme_inputs_raise_only_typed_errors(tmp_path):
     escaped = []
     for fn, args in CALLS:
         for i in range(len(args)):
@@ -65,11 +86,16 @@ def test_extreme_inputs_raise_only_typed_errors():
                 except Exception as exc:
                     escaped.append(f"{fn.__name__}{bad}: {exc!r}")
 
+    profile = tmp_path / "rho.csv"
+    t = np.linspace(0.0, 2 * math.pi, 65)
+    profile.write_text("".join(f"{x!r},{2.0 - 0.5 * (1.0 + math.cos(x))!r}\n"
+                               for x in t))
     runner = CliRunner()
     for name, opts in COMMANDS:
+        tail = [str(profile)] if name == "jsolve" else []
         for i in range(1, len(opts), 2):
             for x in EXTREMES:
-                argv = [name, *opts[:i], repr(x), *opts[i + 1:]]
+                argv = [name, *opts[:i], repr(x), *opts[i + 1:], *tail]
                 res = runner.invoke(cli, argv)
                 if res.exit_code not in (0, 2, 3):
                     escaped.append(f"{argv}: exit {res.exit_code}, "
@@ -88,3 +114,12 @@ def test_non_finite_inputs_are_domain_errors():
         perturbed_params(3.0, 0.1, 2.0, -math.inf)
     with pytest.raises(DomainError):
         EigenQuery(TANH3, -math.inf, 1.0)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            solve_J(_mathieu(2 * math.pi), x, 2.0)
+        with pytest.raises(DomainError):
+            solve_J(_mathieu(2 * math.pi), 1.0, x)
+        with pytest.raises(DomainError):
+            k_bar(_mathieu(2 * math.pi), x, 2.0)
+        with pytest.raises(DomainError):
+            k_bar(_mathieu(2 * math.pi), 1.0, x)
