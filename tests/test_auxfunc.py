@@ -21,7 +21,8 @@ from specgap.auxfunc import (
     rho_K,
     solve_J,
 )
-from specgap.errors import (DomainError, MeshTooCoarse, NumericalError,
+from specgap.errors import (DomainError, MeshTooCoarse,
+                            NonPositiveEigenfunction, NumericalError,
                             ProfileFormatError)
 
 EPS = np.finfo(float).eps
@@ -56,6 +57,40 @@ def test_bump_profile_smoothness():
     vals = prof.sample(np.array([edge - 2 * h, edge - h, edge]))
     assert abs(vals[2]) < 1e-30
     assert abs(vals[1]) / h ** 3 < 30.0  # cubic contact
+
+
+def test_bump_center_is_periodic_on_the_circle():
+    # a center off [0, L) once gave a deficit over the whole circle
+    # (k_bar 0.18 where the bump's own is 0.06)
+    L = 2 * math.pi
+    kb = [k_bar(CurvatureProfile.bump(2.0, 0.5, 1.0, c, L, 3), 1.0)
+          for c in (1.0, 1.0 + L, 1.0 + 3 * L, 1.0 - L, -1.0, L - 1.0)]
+    assert max(kb) - min(kb) <= 1e-12 * kb[0]
+    far = CurvatureProfile.bump(2.0, 0.5, 1.0, 1.0 + 3 * L, L, 3)
+    assert far.sample(1.0) == pytest.approx(1.5, rel=1e-12)
+    assert far.sample(3.0) == 2.0
+    # a center already in [0, L) gives the profile of the formula, bit
+    # for bit
+    t = np.linspace(0.0, L, 1001)
+    for c in (0.0, 2.5, np.nextafter(L, 0.0)):
+        s = np.abs(t - c)
+        s = np.minimum(s, L - s)
+        want = np.where(s < 1.0, 2.0 - 0.5 * np.cos(0.5 * np.pi * s) ** 4,
+                        2.0)
+        got = CurvatureProfile.bump(2.0, 0.5, 1.0, c, L, 3).sample(t)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_bump_rejects_non_finite_parameters(geometry, slot, x):
+    # a nan width or center, or an infinite center on the interval, once
+    # gave a flat profile with sigma = k_bar = 0
+    args = [2.0, 0.5, 1.0, 3.0]
+    args[slot] = x
+    with pytest.raises(DomainError):
+        CurvatureProfile.bump(*args, 2 * math.pi, 3, geometry)
 
 
 def test_from_samples_interpolates():
@@ -417,28 +452,155 @@ def test_circle_richardson_matches_mathieu_closed_form(c, tau):
     assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-9 * exact
 
 
-def test_inverse_iteration_steps_are_few(monkeypatch):
-    # one dptsv call per inverse-iteration step, on both geometries
-    calls = []
+# (profile, tau, mesh) of the step-count tests: bump, Mathieu, bump,
+# Mathieu and constant, circle first
+_STEP_CASES = [
+    (CurvatureProfile.bump(2.0, 0.9, 1.0, 4.0, 2 * math.pi, 3), 2.0, 4096),
+    (_mathieu(0.4), 2.7, 1024),
+    (CurvatureProfile.bump(2.0, 0.3, 1.5, 0.5, 4.0, 3, Geometry.INTERVAL),
+     1.5, 1 << 14),
+    (_mathieu(0.7, Geometry.INTERVAL, math.pi), 3.0, 2048),
+    (CurvatureProfile.constant(2.5, 6.0, 3, Geometry.INTERVAL), 2.0, 512),
+]
+
+
+def _dptsv_sizes(monkeypatch):
+    """The list that records the size of every ``dptsv`` system solved."""
+    sizes = []
     real = auxfunc.dptsv
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(d, e, b):
+        sizes.append(d.size)
+        return real(d, e, b)
 
     monkeypatch.setattr(auxfunc, "dptsv", counted)
-    cases = [
-        (CurvatureProfile.bump(2.0, 0.9, 1.0, 4.0, 2 * math.pi, 3), 2.0, 4096),
-        (_mathieu(0.4), 2.7, 1024),
-        (CurvatureProfile.bump(2.0, 0.3, 1.5, 0.5, 4.0, 3,
-                               Geometry.INTERVAL), 1.5, 1 << 14),
-        (_mathieu(0.7, Geometry.INTERVAL, math.pi), 3.0, 2048),
-        (CurvatureProfile.constant(2.5, 6.0, 3, Geometry.INTERVAL), 2.0, 512),
-    ]
-    for prof, tau, mesh in cases:
-        calls.clear()
+    return sizes
+
+
+def test_inverse_iteration_steps_are_few(monkeypatch):
+    # one dptsv call of the mesh's size per inverse-iteration step, on
+    # both geometries; the coarse levels' smaller calls are not counted
+    sizes = _dptsv_sizes(monkeypatch)
+    for prof, tau, mesh in _STEP_CASES:
+        sizes.clear()
         solve_J(prof, K=1.0, tau=tau, mesh=mesh)
-        assert len(calls) <= 8, (prof, mesh, len(calls))
+        steps = sizes.count(mesh)
+        assert steps <= 8, (prof, mesh, steps)
+
+
+@pytest.mark.parametrize("factor", [1, 4, 32])
+def test_coarse_start_leaves_few_fine_steps(monkeypatch, factor):
+    # from the coarse level's eigenvector the fine iteration takes 1 or 2
+    # steps where v = ones takes 4 or 5, and counting every level the work
+    # is at most 3 fine-mesh solves (measured 1.19 to 2.75).  The exception
+    # is the circle's Mathieu case at the threshold, with 3 steps and work
+    # 3.6: the coarse eigenvector is 2.9e-5 off there, and the first step,
+    # whose shift the interpolant's kinks set 14 above sigma~, only takes
+    # that to 2.1e-5, so the third step is the first to move v by less
+    # than _STEP_TOL
+    sizes = _dptsv_sizes(monkeypatch)
+    mesh = factor * auxfunc._COARSE_FROM
+    for i, (prof, tau, _) in enumerate(_STEP_CASES[:4]):
+        most = 3 if (i, factor) == (1, 1) else 2
+        sizes.clear()
+        solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+        assert sizes.count(mesh) <= most, (prof, mesh, sizes)
+        assert sum(sizes) <= (most + 1) * mesh, (prof, mesh, sizes)
+
+
+def _ones_start_top(V, h, periodic):
+    """The inverse iteration of ``_top_eigenpair`` from v = ones, each step
+    written out as before the coarse start, one temporary per operation:
+    the bit-for-bit reference below the coarse threshold."""
+    off = 1.0 / h ** 2
+    diag = V - 2.0 * off
+    if not periodic:
+        diag[[0, -1]] += off
+    floor = 4.0 * EPS * (4.0 * off + float(np.max(V)))
+    v = np.ones(V.size)
+    rq, change = math.nan, math.inf
+    for _ in range(100):
+        Av = diag * v
+        Av[1:] += off * v[:-1]
+        Av[:-1] += off * v[1:]
+        if periodic:
+            Av[0] += off * v[-1]
+            Av[-1] += off * v[0]
+        ratio = Av / v
+        lo, s = float(np.min(ratio)), float(np.max(ratio))
+        rq_new = float(v @ Av) / float(v @ v)
+        if s - lo <= floor or (abs(rq_new - rq) <= floor
+                               and change <= auxfunc._STEP_TOL):
+            return rq_new, v
+        rq = rq_new
+        v_new = auxfunc._shifted_solve(s - diag, off, v, periodic)
+        v_new = v_new / np.max(v_new)
+        assert np.all(v_new > 0.0)
+        change = float(np.max(np.abs(v_new / v - 1.0)))
+        v = v_new
+    raise AssertionError("reference iteration did not converge")
+
+
+# the step-count profiles and a constant one on the circle: top gaps 0.27
+# to 3.6, so eps |A| / gap is at most 2.5e-8 up to mesh 2^14 and 2.6e-7
+# to 1.6e-6 at 2^17
+_SEPARATED = [case[:2] for case in _STEP_CASES] + [
+    (CurvatureProfile.constant(2.5, 6.0, 3), 2.0)]
+
+
+@pytest.mark.parametrize("mesh", [512, 1000, 2048, "below"])
+@pytest.mark.parametrize("prof, tau", _SEPARATED)
+def test_below_the_threshold_the_start_is_ones(prof, tau, mesh):
+    # the fewer-pass step keeps every value of the one it replaced
+    if mesh == "below":
+        mesh = auxfunc._COARSE_FROM - 1
+    sol = solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+    rq, W = _ones_start_top(_potential(sol), sol.h,
+                            prof.geometry is Geometry.CIRCLE)
+    J = W ** (-1.0 / (tau - 1.0))
+    J = J / np.mean(J)
+    assert sol.sigma_tilde == rq
+    assert np.array_equal(sol.W, W)
+    assert np.array_equal(sol.J, J)
+
+
+@pytest.mark.parametrize("mesh", [4096, 5001, 1 << 14, 1 << 17])
+@pytest.mark.parametrize("prof, tau", _SEPARATED)
+def test_coarse_start_keeps_the_ones_start_result(monkeypatch, prof, tau,
+                                                  mesh):
+    # both stop once a step moves no entry by more than _STEP_TOL, and
+    # the steps after that would move it far less; measured: sigma~
+    # within 0.003 floors, J within 2.1e-7 (at 2^17, interval bump)
+    assert mesh >= auxfunc._COARSE_FROM
+    sol = solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+    monkeypatch.setattr(auxfunc, "_COARSE_FROM", math.inf)
+    ref = solve_J(prof, K=1.0, tau=tau, mesh=mesh)
+    floor = 4.0 * EPS * (4.0 / sol.h ** 2 + float(np.max(_potential(sol))))
+    assert abs(sol.sigma_tilde - ref.sigma_tilde) <= floor
+    assert float(np.max(np.abs(sol.J / ref.J - 1.0))) <= auxfunc._STEP_TOL
+
+
+@pytest.mark.parametrize("error", [NonPositiveEigenfunction, NumericalError])
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_failing_coarse_level_falls_back_to_ones(monkeypatch, geometry,
+                                                 error):
+    prof = CurvatureProfile.bump(2.0, 0.6, 1.2, 2.0, 2 * math.pi, 3,
+                                 geometry)
+    mesh = 2 * auxfunc._COARSE_FROM
+    real = auxfunc._top_eigenpair
+
+    def failing_below(V, h, periodic):
+        if V.size < mesh:
+            raise error("coarse level fails")
+        return real(V, h, periodic)
+
+    monkeypatch.setattr(auxfunc, "_top_eigenpair", failing_below)
+    sol = solve_J(prof, K=1.0, tau=2.2, mesh=mesh)
+    monkeypatch.setattr(auxfunc, "_top_eigenpair", real)
+    monkeypatch.setattr(auxfunc, "_COARSE_FROM", math.inf)
+    ref = solve_J(prof, K=1.0, tau=2.2, mesh=mesh)
+    assert sol.sigma_tilde == ref.sigma_tilde
+    assert np.array_equal(sol.J, ref.J)
 
 
 def test_dptsv_raises_on_a_non_positive_pivot():

@@ -60,6 +60,12 @@ CALLS = [
     (lambda K, p, mesh: k_bar(_mathieu(2 * math.pi), K, p, mesh),
      (1.0, 2.0, 64)),
     (CurvatureProfile.constant, (2.5, 1.0, 3)),
+    (lambda base, depth, width, center: k_bar(CurvatureProfile.bump(
+        base, depth, width, center, 2 * math.pi, 3), 1.0),
+     (2.0, 0.5, 1.0, 3.0)),
+    (lambda base, depth, width, center: k_bar(CurvatureProfile.bump(
+        base, depth, width, center, 4.0, 3, Geometry.INTERVAL), 1.0),
+     (2.0, 0.5, 1.0, 3.0)),
 ]
 
 # jsolve also takes the profile file the test writes, after its options
