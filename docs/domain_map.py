@@ -43,7 +43,7 @@ its integrator calls) and the Pruefer root on every point.  The points
 * three long (3, -1) intervals near the essential threshold;
 * long pole: coth [0, L] with K = -1 for n in {1.2, 1.5, 1.8, 2.5, 3,
   3.5, 4.5, 7, 7.5, 10.5} and theta L = (n - 1) L in {5, 10, 20, 50,
-  100, 200, 300}.
+  100, 200, 300, 400, 600}, and (n, L) = (5, 80), (7, 40) and (10, 40).
 
 References: for n = 3 the closed form on [a, b] (n3_interval); for the
 (10, -1) intervals a flux-form shot w' = F / mu, F' = -lambda mu w,
@@ -51,6 +51,8 @@ w(a) = 1, F(a) = 0 by scipy's DOP853 at rtol 1e-13, with lambda_1 the
 root of F(b) whose w changes sign once; otherwise the Pruefer root where
 it certifies, else none.  bench/reference.lambda1_interval is not used:
 its scan steps over lambda_1 where lambda_2 / lambda_1 < 1.25.
+
+The script exits with status 1 if any verdict is SILENT MISS.
 """
 
 from __future__ import annotations
@@ -258,9 +260,12 @@ def asymmetric_points():
         yield "threshold", tanh, a, b
     yield "threshold", coth, 0.0, 40.0
     for n in (1.2, 1.5, 1.8, 2.5, 3.0, 3.5, 4.5, 7.0, 7.5, 10.5):
-        for theta_l in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0):
+        for theta_l in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0, 400.0,
+                        600.0):
             yield "long pole", ModelParams(n, -1.0, Branch.COTH), 0.0, \
                 theta_l / (n - 1.0)
+    for n, b in ((5.0, 80.0), (7.0, 40.0), (10.0, 40.0)):
+        yield "long pole", ModelParams(n, -1.0, Branch.COTH), 0.0, b
 
 
 def asymmetric_rows():
@@ -427,6 +432,9 @@ def main() -> None:
           "asymmetric points, route " + ", ".join(
               f"{sum(r[9] == k for r in asym)} {k}" for k in kinds)
           + f", {integrator_calls} integrator calls")
+    if any("SILENT MISS" in (r[7], r[8]) for r in rows) or any(
+            "SILENT MISS" in (r[9], r[10]) for r in asym):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

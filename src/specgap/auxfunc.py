@@ -86,7 +86,7 @@ def dptsv(d, e, b):
 def __getattr__(name):
     # eigh and eigh_tridiagonal are unused here: bench/spans.py wraps both
     # to time eigensolves, until the program owns its counters (ROADMAP
-    # item 2); they load scipy.linalg only when looked up
+    # item 1); they load scipy.linalg only when looked up
     if name in ("eigh", "eigh_tridiagonal"):
         import scipy.linalg
         return getattr(scipy.linalg, name)

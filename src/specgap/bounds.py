@@ -39,8 +39,8 @@ _PI2 = math.pi ** 2
 
 
 def _validate_n(n: float) -> None:
-    if not (n > 1):
-        raise DomainError(f"dimension must exceed 1, got {n}")
+    if not (1 < n < math.inf):
+        raise DomainError(f"dimension must be finite and exceed 1, got {n}")
 
 
 def _validate_alpha(alpha: float) -> None:
@@ -63,8 +63,8 @@ def _flat_value(D: float) -> float:
 def lichnerowicz(n: float, K: float) -> float:
     """n K, valid only under positive curvature."""
     _validate_n(n)
-    if not (K > 0):
-        raise DomainError(f"positive curvature required, got K = {K}")
+    if not (0 < K < math.inf):
+        raise DomainError(f"positive finite curvature required, got K = {K}")
     return n * K
 
 
@@ -81,6 +81,8 @@ def shi_zhang_maximizer(n: float, K: float, D: float) -> tuple[float, bool]:
     """
     _validate_n(n)
     _flat_value(D)
+    if not math.isfinite(K):
+        raise DomainError(f"curvature must be finite, got K = {K}")
     s_star = 0.5 + (n - 1.0) * K * D * D / (8.0 * _PI2)
     if s_star >= 1.0:
         return 1.0, True
@@ -98,8 +100,8 @@ def yang(n: float, K: float, D: float) -> float:
     """pi^2/D^2 damped by exp(-c_n D sqrt((n-1)|K|)) for nonpositive K."""
     _validate_n(n)
     flat = _flat_value(D)
-    if K > 0:
-        raise DomainError(f"nonpositive curvature required, got K = {K}")
+    if not (-math.inf < K <= 0):
+        raise DomainError(f"finite nonpositive K required, got K = {K}")
     c_n = max(2.0, n - 1.0)
     return flat * math.exp(-c_n * D * math.sqrt((n - 1.0) * abs(K)))
 
@@ -111,8 +113,8 @@ def aubry(n: float, K: float, p: float, k_bar: float, C: float) -> float:
     degenerates to 0 once C k_bar reaches 1 and it never goes negative.
     """
     _validate_n(n)
-    if not (K > 0):
-        raise DomainError(f"positive curvature required, got K = {K}")
+    if not (0 < K < math.inf):
+        raise DomainError(f"positive finite curvature required, got K = {K}")
     if p <= n / 2.0:
         raise DomainError(f"need p > n/2, got p = {p}")
     if k_bar < 0 or C < 0:

@@ -37,14 +37,14 @@ Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
 max_i (Av)_i / v_i closes.  Every iterate is positive, so the bracket
 bounds 1/lambda: the operator keeps a positive vector positive, and each
 level starts from a positive one (_levels).  Where lambda_2 / lambda_1
-is close to 1 (long intervals just above the essential threshold) a
-Ritz step on a Krylov space restarts the iteration; its vector, with the
-entries that are not positive raised to its smallest positive one, only
-starts power steps, and it is kept only if the bracket is narrower a few
-power steps later than it was just before the step.  The mesh error
-expands in even powers of the step, which a Romberg table over the
-levels removes.  A value is returned only when successive extrapolants
-agree within the tolerance; otherwise NumericalError is raised.
+is close to 1 (long intervals just above the essential threshold) power
+steps converge too slowly: a flux level whose bracket has not closed in
+_POWER_STEPS steps bisects lambda inside it by Sturm counts on its
+tridiagonal pencil (_count), exact to rounding whatever the gap; the
+half problem has none and raises.  The mesh error expands in even
+powers of the step, which a Romberg table over the levels removes.  A
+value is returned only when successive extrapolants agree within the
+tolerance; otherwise NumericalError is raised.
 
 Near a pole, mu ~ s^(N-1) in the distance s to it, which for a
 non-integer N is not smooth enough for that expansion on a uniform
@@ -84,12 +84,9 @@ __all__ = [
 _MESH_START = 32
 _MESH_CAP = 2 ** 16
 _WARM_BRACKET = 1e-4
-_POWER_STEPS = 400
-# Ritz steps (_top_eigenvalue): from _KRYLOV vectors, one every _POLISH
-# power steps from step _RITZ_AFTER of a level on
-_KRYLOV = 20
-_POLISH = 4
-_RITZ_AFTER = 24
+# levels that take more steps count (_top_eigenvalue): no level of the
+# map's points but the long near-threshold ones takes more than 53
+_POWER_STEPS = 64
 # The flux mesh is graded at an end within _POLE_NEAR interval lengths
 # of a pole (_pole_ends), cubic in x over about _GRADE of the unit
 # interval (_mesh_map)
@@ -164,9 +161,8 @@ def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
 # Positive Green operators (module docstring), in x on [0, 1] with the
 # nodes x_i = i / m: the odd half problem of a symmetric interval and
 # the flux problem of any other.  Each level is a function of the nodes
-# and half the step that returns the operator's application and the
-# weight mu / c (c a constant that keeps it in range) in whose inner
-# product the operator is symmetric.
+# and half the step that returns the operator's application and, for the
+# flux problem, its pencil (_pencil), or None.
 
 def _cumtrap(g, hh):
     """Trapezoid integrals of g from the first node to each node; hh is
@@ -202,15 +198,14 @@ def _half_level(params: ModelParams, half: float):
         lm = log_weight(params, half * x)
         top = float(np.max(lm))
         p, q = np.exp(lm - top), np.exp(top - lm)
-        return (lambda v: _green_apply(v, p, q, hh)), p
+        return (lambda v: _green_apply(v, p, q, hh)), None
     return level
 
 
 def _flux_level(params: ModelParams, a: float, b: float):
     """The flux operator's levels.  On a graded mesh (_mesh_map) every
     trapezoid weight takes the factor g', and the iterate is z = g' y,
-    so that q carries g' too; the operator on z is symmetric in the
-    weight mu / g'."""
+    so that q carries g' too."""
     left, right = _pole_ends(params, a, b)
 
     def level(x, hh):
@@ -219,14 +214,44 @@ def _flux_level(params: ModelParams, a: float, b: float):
         t[0], t[-1] = a, b
         lm = log_weight(params, t)
         top = float(np.max(lm))
-        mu = np.exp(lm - top)
-        p = mu * du
+        p = np.exp(lm - top) * du
         P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
         q = np.zeros_like(p)
         q[1:-1] = np.exp(top - lm[1:-1]) / P[-1] * du[1:-1]
-        mu[1:-1] /= du[1:-1]
-        return (lambda z: _flux_apply(z, P, Q, q, hh)), mu
+        return ((lambda z: _flux_apply(z, P, Q, q, hh)),
+                lambda: _pencil(lm, du, hh))
     return level
+
+
+def _pencil(lm, du, hh):
+    """The flux level as the pencil K u = lambda M u on the inner nodes:
+    with u = (A z) / q the trapezoid sums give c_{i-1} (u_i - u_{i-1}) -
+    c_i (u_{i+1} - u_i) = 2 hh P(1) z_i, c_i = 1 / (hh (p_i + p_{i+1})),
+    and u = 0 at both ends, so M_i = 2 hh P(1) q_i.  Returns a_i =
+    c_{i-1} / M_i and b_i = c_i / M_i, from differences of lm = log mu so
+    that they stay of order 1 / h^2."""
+    r = 2.0 * hh * hh * du[1:-1]
+    a = 1.0 / (r * (du[1:-1] + du[:-2] * np.exp(lm[:-2] - lm[1:-1])))
+    b = 1.0 / (r * (du[1:-1] + du[2:] * np.exp(lm[2:] - lm[1:-1])))
+    return a.tolist(), b.tolist()
+
+
+def _count(a, b, s: float) -> int:
+    """How many of the pencil's eigenvalues lie below s: the negative
+    pivots M_i (b_i + f_i) of K - s M = L D L^T, f_1 = a_1 - s and
+    f_{i+1} = a_{i+1} f_i / (b_i + f_i) - s.  Only the shift subtracts, so
+    the count is exact for a few ulps' change in each c_i and M_i, which
+    moves each eigenvalue as little whatever the gap (the dstqds
+    transform, Parlett and Dhillon, Linear Algebra Appl. 309, 2000)."""
+    f, below = a[0] - s, 0
+    try:
+        for a_next, b_i in zip(a[1:], b):
+            d = b_i + f
+            below += d < 0.0
+            f = a_next * f / d - s
+    except ZeroDivisionError:  # s is an eigenvalue of a leading block
+        return _count(a, b, math.nextafter(s, math.inf))
+    return below + (b[-1] + f < 0.0)
 
 
 def _mesh_map(x, left: bool, right: bool):
@@ -260,66 +285,35 @@ def _refine(v, closed: bool):
     return out
 
 
-def _ritz(v, apply, p, inner):
-    """Rayleigh-Ritz step from v: the top Ritz vector of the operator on
-    the Krylov space of _KRYLOV vectors from v, built by Lanczos with
-    full reorthogonalisation in z = sqrt(p) v, where the operator is
-    symmetric.  It is only a start for power steps."""
-    s = np.sqrt(p[inner])
-    basis = np.empty((_KRYLOV, s.size))
-    images = np.empty_like(basis)
-    z = s * v[inner]
-    basis[0] = z / np.linalg.norm(z)
-    y = np.zeros_like(v)
-    for j in range(_KRYLOV):
-        y[inner] = basis[j] / s
-        images[j] = s * apply(y)[inner]
-        if j + 1 < _KRYLOV:
-            w = images[j]
-            for _ in range(2):
-                w = w - basis[:j + 1].T @ (basis[:j + 1] @ w)
-            basis[j + 1] = w / np.linalg.norm(w)
-    h = basis @ images.T
-    z = np.linalg.eigh(0.5 * (h + h.T))[1][:, -1] @ basis
-    z /= z[np.argmax(np.abs(z))]
-    # power steps restore its sign where it is not positive; from the
-    # smallest positive entry the ratios (A v)_i / v_i stay finite
-    y[inner] = np.maximum(z, np.min(z[z > 0.0])) / s
-    return y
-
-
-def _top_eigenvalue(v, apply, p, inner, bracket: float):
-    """Power iteration from v until the Collatz-Wielandt bracket
-    min (Av)_i / v_i <= rho <= max (Av)_i / v_i on the top eigenvalue
-    rho of the operator, over the inner nodes, is within the relative
-    width bracket.  Returns its midpoint and the last iterate.
-
-    Where the second eigenvalue lies close to rho, power steps converge
-    too slowly.  So a Ritz step (_ritz) restarts the iteration at step
-    _RITZ_AFTER, and again every _POLISH steps while the bracket _POLISH
-    steps after each one is narrower than it was just before it; the
-    first one that does not narrow it is undone, and power steps alone
-    go on for the rest of the call.
-    """
-    saved, ritz = None, True
-    for step in range(1, _POWER_STEPS + 1):
+def _top_eigenvalue(v, apply, pencil, inner, bracket: float):
+    """lambda = 1 / rho, rho the operator's top eigenvalue, to the
+    relative width bracket, and the last iterate.  Power steps from v run
+    until the Collatz-Wielandt bracket min (Av)_i / v_i <= rho <=
+    max (Av)_i / v_i over the inner nodes is that narrow; if it is not in
+    _POWER_STEPS steps, lambda is bisected inside it by counts on the
+    level's pencil (_count), or NumericalError is raised if it has none."""
+    for _ in range(_POWER_STEPS):
         w = apply(v)
         ratio = w[inner] / v[inner]
         lo, hi = float(ratio.min()), float(ratio.max())
         v = w / w.max()
         if lo > 0.0 and hi - lo <= bracket * hi:
-            return 0.5 * (lo + hi), v
-        if not ritz or step < _RITZ_AFTER or step % _POLISH:
-            continue
-        width = (hi - lo) / hi if lo > 0.0 else math.inf
-        if saved is not None and not width < saved[0]:
-            v, ritz = saved[1], False
+            return 1.0 / (0.5 * (lo + hi)), v
+    if pencil is None or not lo > 0.0:
+        raise NumericalError(
+            f"power iteration not converged in {_POWER_STEPS} steps "
+            f"(bracket [{lo!r}, {hi!r}] on 1/lambda, {v.size - 1} cells)")
+    a, b = pencil()
+    lo, hi = 1.0 / hi, 1.0 / lo
+    while hi - lo > bracket * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats
+            raise NumericalError(f"lambda not resolved to {bracket:g}")
+        if _count(a, b, mid):
+            hi = mid
         else:
-            saved = width, v
-            v = _ritz(v, apply, p, inner)
-    raise NumericalError(
-        f"power iteration not converged in {_POWER_STEPS} steps (bracket "
-        f"[{lo!r}, {hi!r}] on 1/lambda, {v.size - 1} cells)")
+            lo = mid
+    return 0.5 * (lo + hi), v
 
 
 def _levels(level, closed: bool, tol: float):
@@ -335,14 +329,14 @@ def _levels(level, closed: bool, tol: float):
     the pole of a long interval) the step or the cubic can undershoot
     zero, and there the start takes v_m interpolated linearly instead:
     it must be positive for the Collatz-Wielandt bracket to bound the
-    eigenvalue.  Each level tries Ritz steps afresh (_top_eigenvalue).
+    eigenvalue.  Each level that stalls counts afresh (_top_eigenvalue).
     """
     inner = slice(1, -1 if closed else None)
     coarse = v = None
     m = _MESH_START
     while m <= _MESH_CAP:
         x = np.linspace(0.0, 1.0, m + 1)
-        apply, p = level(x, 0.5 / m)
+        apply, pencil = level(x, 0.5 / m)
         if v is None:
             v = x * (1.0 - x) if closed else x
         elif coarse is None:
@@ -353,9 +347,9 @@ def _levels(level, closed: bool, tol: float):
         if not v[inner].min() > 0.0:
             v = np.where(v > 0.0, v, np.interp(x, x[::2], coarse))
         bracket = _WARM_BRACKET if m == _MESH_START else tol / 8.0
-        rho, v = _top_eigenvalue(v, apply, p, inner, bracket)
+        lam, v = _top_eigenvalue(v, apply, pencil, inner, bracket)
         if m > _MESH_START:
-            yield 1.0 / rho
+            yield lam
         m *= 2
 
 

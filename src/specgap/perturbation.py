@@ -55,8 +55,8 @@ _N_MARGIN = 1e-6
 def _validate_n_delta(n: float, delta: float) -> None:
     # delta = 0 is the exact unperturbed limit; it stays legal so the
     # diameter chain can report its collapse to equality
-    if not (n > 1):
-        raise DomainError(f"dimension must exceed 1, got {n}")
+    if not (1 < n < math.inf):
+        raise DomainError(f"dimension must be finite and exceed 1, got {n}")
     if not (0.0 <= delta < 0.5):
         raise DomainError(f"delta must lie in [0, 0.5), got {delta}")
 
@@ -255,8 +255,10 @@ def check_term_III(n: float, K: float, N: float, K_bar: float,
     J may be a scalar or an array of auxiliary-function values (all
     positive); nonnegative return means the surplus condition holds.
     """
+    if not all(map(math.isfinite, (n, K, N, K_bar, sigma))):
+        raise DomainError("n, K, N, K_bar and sigma must be finite")
     J = np.atleast_1d(np.asarray(J, dtype=float))
-    if np.any(J <= 0):
-        raise DomainError("auxiliary-function values must be positive")
+    if not np.all((J > 0) & (J < np.inf)):
+        raise DomainError("auxiliary-function values must be finite > 0")
     surplus = (n - 1.0) * K - (N - 1.0) * K_bar / J - sigma
     return float(np.min(surplus))

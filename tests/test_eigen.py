@@ -438,8 +438,9 @@ def test_long_tanh_interval_meets_n3_closed_form():
 def test_long_interval_near_threshold_without_integrating(
         branch, a, b, integrator_calls):
     # lambda_2 / lambda_1 is about 1.02 on the coth interval, where power
-    # steps alone took 3773 operator applications; the tests-side Pruefer
-    # root, an independent method, is the reference
+    # steps alone took 3773 operator applications and its levels now
+    # count; the tests-side Pruefer root, an independent method, is the
+    # reference
     p = ModelParams(3.0, -1.0, Branch(branch))
     got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
     assert integrator_calls[0] == 0
@@ -526,44 +527,74 @@ def test_warm_starts_stay_positive(monkeypatch, n, b):
     starts = []
     top = eigen._top_eigenvalue
 
-    def recorded(v, apply, p, inner, bracket):
+    def recorded(v, apply, pencil, inner, bracket):
         starts.append(float(v[inner].min()))
-        return top(v, apply, p, inner, bracket)
+        return top(v, apply, pencil, inner, bracket)
 
     monkeypatch.setattr(eigen, "_top_eigenvalue", recorded)
-    try:
-        neumann_eigenvalue_shooting(EigenQuery(
-            ModelParams(n, -1.0, Branch.COTH), 0.0, b))
-    except NumericalError:
-        pass
+    neumann_eigenvalue_shooting(EigenQuery(
+        ModelParams(n, -1.0, Branch.COTH), 0.0, b))
     assert len(starts) >= 2 and min(starts) > 0.0, starts
 
 
-@pytest.mark.parametrize("n,b", [(7.0, 40.0), (10.5, 30.0)])
+@pytest.mark.parametrize("n,b", [(7.0, 40.0), (10.5, 30.0), (5.0, 80.0),
+                                 (10.0, 40.0)])
 def test_long_pole_interval_is_certified_or_typed(n, b):
-    # theta L of 240 and 285: the coarse levels do not resolve the
-    # weight's e-folding length 1 / theta.  A value must meet the
-    # tests-side Pruefer root, and an error must not blame the float
-    # range, which a non-positive warm start (v = w / w.max() dividing by
-    # zero) once did
+    # theta L of 240, 285, 320 and 360: the coarse levels do not resolve
+    # the weight's e-folding length 1 / theta, and no level's power steps
+    # close the bracket, so each level counts; these raised
+    # NumericalError before the counts.  The value must meet the
+    # tests-side Pruefer root
     p = ModelParams(n, -1.0, Branch.COTH)
-    try:
-        got = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
-    except NumericalError as exc:
-        assert "float range" not in str(exc)
-    else:
-        assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
+    got = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
+    assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, 3.5])
 def test_long_pole_interval_at_theta_l_200_is_certified(n):
-    # coth [0, L] with theta L = 200: a Ritz step that narrows the
-    # bracket is kept on every level, while one that does not is undone
-    # on its own level only
+    # coth [0, L] with theta L = 200: lambda_2 / lambda_1 is so close to 1
+    # that power steps stall on every level, and lambda is bisected by
+    # counts on each level's pencil
     p = ModelParams(n, -1.0, Branch.COTH)
     b = 200.0 / (n - 1.0)
     got = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
     assert abs(got / prufer_eigenvalue(p, 0.0, b) - 1.0) <= 1e-10
+
+
+def _pencil_spectrum(params, a, b, m):
+    """A flux level's pencil (a_i, b_i) and its eigenvalues, from
+    numpy.linalg.eigvalsh of M^(-1/2) K M^(-1/2) (diagonal a_i + b_i,
+    off-diagonal -sqrt(b_i a_{i+1})), and 1 / rho of the level's operator
+    applied to the unit vectors, a dense matrix."""
+    x = np.linspace(0.0, 1.0, m + 1)
+    apply, pencil = eigen._flux_level(params, a, b)(x, 0.5 / m)
+    lo, up = pencil()
+    off = -np.sqrt(np.multiply(up[:-1], lo[1:]))
+    sym = np.diag(np.add(lo, up)) + np.diag(off, 1) + np.diag(off, -1)
+    dense = np.column_stack([apply(e)[1:-1] for e in np.eye(m + 1)[1:-1]])
+    rho = np.max(np.linalg.eigvals(dense).real)
+    return lo, up, np.linalg.eigvalsh(sym), 1.0 / rho
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("params,a,b", [
+    (ModelParams(3.0, -1.0, Branch.TANH), -2.0, 3.0),        # uniform mesh
+    (ModelParams(2.5, 1.0, Branch.TAN), -math.pi / 2, 0.3),  # graded pole
+    (ModelParams(3.0, -1.0, Branch.COTH), 0.0, 100.0),       # theta L 200
+])
+def test_count_matches_the_symmetrised_pencil(params, a, b, m):
+    lo, up, ev, lam = _pencil_spectrum(params, a, b, m)
+    assert abs(ev[0] / lam - 1.0) <= 1e-9  # the pencil is the operator's
+    shifts = [e * (1.0 + d) for e in ev[:3] for d in (-1e-8, 1e-8)]
+    shifts += list(0.5 * (ev[:3] + ev[1:4])) + [0.5 * ev[0], 2.0 * ev[-1]]
+    for s in shifts:
+        assert eigen._count(lo, up, s) == np.count_nonzero(ev < s), s
+
+
+def test_count_steps_over_a_zero_pivot():
+    # K - 2 M with a = b = 1 is tridiag(-1, 0, -1), whose first pivot is
+    # exactly 0; the eigenvalues 2 - 2 cos(k pi / 5) put two below 2
+    assert eigen._count([1.0] * 4, [1.0] * 4, 2.0) == 2
 
 
 def test_coth_interval_dominates_central_even_family():

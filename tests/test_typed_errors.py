@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from specgap.auxfunc import CurvatureProfile, Geometry, k_bar, solve_J
-from specgap.bounds import bound_report
+from specgap.bounds import (aubry, bound_report, lichnerowicz, shi_zhang,
+                            shi_zhang_maximizer, yang)
 from specgap.cli import cli
 from specgap.eigen import (EigenQuery, lambda1_model,
                            neumann_eigenvalue_shooting,
@@ -23,7 +24,8 @@ from specgap.errors import DomainError, SpecgapError
 from specgap.harness import diameter_chain_check
 from specgap.matching import match_maximum
 from specgap.model import Branch, ModelParams, solve_ivp
-from specgap.perturbation import perturbed_params
+from specgap.perturbation import (check_term_III, choose_alpha_beta,
+                                  choose_N, perturbed_params)
 
 EXTREMES = (math.inf, -math.inf, math.nan, 1e-300, 1e300)
 
@@ -129,3 +131,20 @@ def test_non_finite_inputs_are_domain_errors():
             k_bar(_mathieu(2 * math.pi), x, 2.0)
         with pytest.raises(DomainError):
             k_bar(_mathieu(2 * math.pi), 1.0, x)
+        # these returned nan or inf: choose_N(inf, 0.1) nan,
+        # choose_alpha_beta(inf, 0.1) (0.5, nan), shi_zhang(3, nan, 1) nan,
+        # shi_zhang_maximizer (nan, False), lichnerowicz(inf, 1) inf and
+        # check_term_III with J = [nan] nan
+        for call in (lambda: choose_N(x, 0.1),
+                     lambda: choose_alpha_beta(x, 0.1),
+                     lambda: shi_zhang(3.0, x, 1.0),
+                     lambda: shi_zhang_maximizer(3.0, x, 1.0),
+                     lambda: lichnerowicz(x, 1.0),
+                     lambda: lichnerowicz(3.0, x),
+                     lambda: yang(3.0, x, 1.0),
+                     lambda: aubry(3.0, x, 2.0, 0.1, 1.0),
+                     lambda: check_term_III(3.0, 1.0, 3.0, 0.5, 0.0, [x]),
+                     lambda: check_term_III(3.0, x, 3.0, 0.5, 0.0, 1.0)):
+            with pytest.raises(DomainError):
+                call()
+
