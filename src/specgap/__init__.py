@@ -3,12 +3,12 @@
 The model eigenvalue lambda_1(n, K, D), the first Neumann eigenvalue of
 w'' - T w' + lambda w  on an interval of length D with the
 curvature-matched drift T (computed by power iteration on the Green
-operator of its odd half problem), dominates the classical
-Lichnerowicz, Zhong-Yang, Shi-Zhang, and Yang bounds and is attained by
-round spheres.  Supporting machinery: perturbed parameter selection,
-maximum matching within the drift family, auxiliary multipliers built
-from curvature deficit profiles, closed-form bound comparisons, and a
-verification harness over spaces with known spectra.
+operator of its flux mu w', folded onto half the interval), dominates
+the classical Lichnerowicz, Zhong-Yang, Shi-Zhang, and Yang bounds and
+is attained by round spheres.  Supporting machinery: perturbed parameter
+selection, maximum matching within the drift family, auxiliary
+multipliers built from curvature deficit profiles, closed-form bound
+comparisons, and a verification harness over spaces with known spectra.
 """
 
 from .auxfunc import (CurvatureProfile, Geometry, JReport, JSolution,

@@ -1,26 +1,13 @@
 """Neumann eigenvalues of the one-dimensional comparison models.
 
-Three routes, chosen by the interval:
+Two routes, chosen by the interval:
 
 * closed forms: pi^2/L^2 on the zero branch (weight 1) and N Kbar on the
   full tan domain (the round sphere);
-* power iteration on the Green operator of the odd half problem, for
-  symmetric intervals of the even branches (tan, tanh), so for
-  lambda1_model;
 * power iteration on the Green operator of the flux for every other
-  interval.
+  interval, folded onto half of a symmetric one (so for lambda1_model).
 
-Both operator routes are pure numpy, with no integrator and no root
-find.  On a symmetric interval [-L, L] with an even weight the first
-nontrivial eigenfunction is odd, so it solves the half problem on
-[0, L] with w(0) = 0 and zero flux mu w' at L.  Its Green operator
-
-    G f(t) = int_0^t mu(s)^-1 int_s^L mu(r) f(r) dr ds
-
-has a nonnegative kernel, self-adjoint in L^2(mu), so its top
-eigenvalue 1/lambda_1 has a positive eigenfunction and power iteration
-never subtracts: the smallest lambda_1 keeps full relative accuracy
-(Jentzsch's theorem, the Perron-Frobenius theorem for integral kernels).
+The operator route is pure numpy, with no integrator and no root find.
 On any interval [a, b] the first nontrivial eigenfunction is monotone
 (the gradient comparison of Kroeger and Bakry-Qian), so its flux
 F = mu w' has one sign and solves the Dirichlet problem
@@ -29,22 +16,32 @@ Green operator is
 
     A y(t) = [Q(t) int_a^t P y + P(t) int_t^b Q y] / (P(b) mu(t)),
 
-P(t) = int_a^t mu and Q(t) = int_t^b mu, again nonnegative and
-self-adjoint in L^2(mu), with top eigenvalue 1/lambda_1; y vanishes at
-both ends, at a pole too, where P / mu -> 0.  Each mesh level applies the
-operator by cumulative trapezoid sums and iterates until the
-Collatz-Wielandt bracket min_i (Av)_i / v_i <= 1/lambda <=
-max_i (Av)_i / v_i closes.  Every iterate is positive, so the bracket
-bounds 1/lambda: the operator keeps a positive vector positive, and each
-level starts from a positive one (_levels).  Where lambda_2 / lambda_1
-is close to 1 (long intervals just above the essential threshold) power
-steps converge too slowly: a flux level whose bracket has not closed in
-_POWER_STEPS steps bisects lambda inside it by Sturm counts on its
-tridiagonal pencil (_count), exact to rounding whatever the gap; the
-half problem has none and raises.  The mesh error expands in even
-powers of the step, which a Romberg table over the levels removes.  A
-value is returned only when successive extrapolants agree within the
-tolerance; otherwise NumericalError is raised.
+P(t) = int_a^t mu and Q(t) = int_t^b mu.  It has a nonnegative kernel,
+self-adjoint in L^2(mu), so its top eigenvalue 1/lambda_1 has a positive
+eigenfunction and power iteration never subtracts: the smallest
+lambda_1 keeps full relative accuracy (Jentzsch's theorem, the
+Perron-Frobenius theorem for integral kernels).  y vanishes at both
+ends, at a pole too, where P / mu -> 0.  On a symmetric interval
+[-H, H] with an even weight (tan, tanh) w is odd and F even, so on
+[-H, 0] F(-H) = 0 and F'(0) = 0, and the fold
+
+    A y(t) = mu(t)^-1 int_{-H}^t mu(s) int_s^0 y(r) dr ds
+
+has the same properties at half the nodes and two cumulative sums.
+Each mesh level applies the operator by cumulative trapezoid sums and
+iterates until the Collatz-Wielandt bracket min_i (Av)_i / v_i <=
+1/lambda <= max_i (Av)_i / v_i closes.  Every iterate is positive, so
+the bracket bounds 1/lambda: the operator keeps a positive vector
+positive, and each level starts from a positive one (_levels).  Where
+lambda_2 / lambda_1 is close to 1 (long intervals just above the
+essential threshold) power steps converge too slowly: a flux level
+whose bracket has not closed in _POWER_STEPS steps bisects lambda
+inside it by Sturm counts on its tridiagonal pencil (_count), exact to
+rounding whatever the gap; the fold has none and raises.  The mesh
+error expands in even powers of the step, which a Romberg table over
+the levels removes.  A value is returned only when successive
+extrapolants agree within the tolerance; otherwise NumericalError is
+raised.
 
 Near a pole, mu ~ s^(N-1) in the distance s to it, which for a
 non-integer N is not smooth enough for that expansion on a uniform
@@ -56,7 +53,7 @@ the factor g'(x).  There mu g' ~ x^(3N - 1) puts the pole's error term
 at h^(3N), past the h^2 that the table removes first.  g is odd about a
 graded end (near enough where both are), so the iterate g' y stays odd
 about an end at a pole, as the refinement's reflection there assumes.
-Every other end keeps the uniform spacing.
+Every other end keeps the uniform spacing, the fold's centre too.
 """
 
 from __future__ import annotations
@@ -131,11 +128,11 @@ class EigenQuery:
 def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     """First nontrivial Neumann eigenvalue, certified to query.tol.
 
-    Closed forms on the zero branch and the full tan domain, the Green
-    operator of the odd half problem on a symmetric interval, the flux
-    operator on every other interval, as given, on a mesh graded at each
-    end at or next to a pole (see the module docstring).  Raises
-    NumericalError when the value cannot be certified to query.tol.
+    Closed forms on the zero branch and the full tan domain, and the flux
+    operator on every other interval, folded onto [a, (a + b) / 2] on a
+    symmetric one, on a mesh graded at each end at or next to a pole
+    (see the module docstring).  Raises NumericalError when the value
+    cannot be certified to query.tol.
     """
     params, L = query.params, query.length
     flat = zhong_yang(L)  # pi^2/L^2, or DomainError for a too short L
@@ -144,9 +141,9 @@ def neumann_eigenvalue_shooting(query: EigenQuery) -> float:
     tan = params.branch is Branch.TAN
     if tan and L >= math.pi / params.scale * (1.0 - 1e-12):
         return float(params.dim * params.curv)  # sin(sqrt(Kbar) t) closes it
-    if query.symmetric:
-        return _green_eigenvalue(params, 0.5 * L, query.tol)
-    return _flux_eigenvalue(params, query.a, query.b, query.tol)
+    fold = query.symmetric
+    return _operator_eigenvalue(_flux_level(params, query.a, query.b, fold),
+                                not fold, 0.5 * L if fold else L, query.tol)
 
 
 def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
@@ -159,10 +156,10 @@ def _pole_ends(params: ModelParams, a: float, b: float) -> tuple[bool, bool]:
 
 # ---------------------------------------------------------------------------
 # Positive Green operators (module docstring), in x on [0, 1] with the
-# nodes x_i = i / m: the odd half problem of a symmetric interval and
-# the flux problem of any other.  Each level is a function of the nodes
-# and half the step that returns the operator's application and, for the
-# flux problem, its pencil (_pencil), or None.
+# nodes x_i = i / m: the flux problem of an interval, or its fold onto
+# half of a symmetric one.  Each level is a function of the nodes and
+# half the step that returns the operator's application and, unfolded,
+# its pencil (_pencil), or None.
 
 def _cumtrap(g, hh):
     """Trapezoid integrals of g from the first node to each node; hh is
@@ -180,11 +177,12 @@ def _rcumtrap(g, hh):
     return out
 
 
-def _green_apply(v, p, q, hh):
-    """G v on the unit half interval: the inner integral from the
-    zero-flux end, the outer one from w(0) = 0.  p = mu / c and q = c / mu
-    at the nodes."""
-    return _cumtrap(q * _rcumtrap(p * v, hh), hh)
+def _green_apply(z, p, q, hh):
+    """The fold's A z on the unit interval, from the outer end (x = 0,
+    where z vanishes) to the centre (x = 1): the inner integral from the
+    centre, the outer one from the outer end.  p = mu g' / c and
+    q = c g' / mu, 0 at the outer end."""
+    return q * _cumtrap(p * _rcumtrap(z, hh), hh)
 
 
 def _flux_apply(y, P, Q, q, hh):
@@ -193,30 +191,34 @@ def _flux_apply(y, P, Q, q, hh):
     return q * (Q * _cumtrap(P * y, hh) + P * _rcumtrap(Q * y, hh))
 
 
-def _half_level(params: ModelParams, half: float):
-    def level(x, hh):
-        lm = log_weight(params, half * x)
-        top = float(np.max(lm))
-        p, q = np.exp(lm - top), np.exp(top - lm)
-        return (lambda v: _green_apply(v, p, q, hh)), None
-    return level
-
-
-def _flux_level(params: ModelParams, a: float, b: float):
+def _flux_level(params: ModelParams, a: float, b: float, fold: bool = False):
     """The flux operator's levels.  On a graded mesh (_mesh_map) every
     trapezoid weight takes the factor g', and the iterate is z = g' y,
-    so that q carries g' too."""
+    so that q carries g' too.  fold: [a, b] is symmetric and the weight
+    even, and the levels are the fold's on [a, (a + b) / 2], with x = 0
+    at a, graded as a is; they have no pencil."""
     left, right = _pole_ends(params, a, b)
+    if fold:
+        b, right = 0.5 * (a + b), False
 
     def level(x, hh):
+        if fold and not left:  # no graded end: g' = 1
+            lm = log_weight(params, a + (b - a) * x)
+            p = np.exp(lm - float(np.max(lm)))
+            q = np.zeros_like(p)
+            q[1:] = 1.0 / p[1:]
+            return (lambda z: _green_apply(z, p, q, hh)), None
         u, du = _mesh_map(x, left, right)
         t = a + (b - a) * u
         t[0], t[-1] = a, b
         lm = log_weight(params, t)
         top = float(np.max(lm))
         p = np.exp(lm - top) * du
-        P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
         q = np.zeros_like(p)
+        if fold:
+            q[1:] = np.exp(top - lm[1:]) * du[1:]
+            return (lambda z: _green_apply(z, p, q, hh)), None
+        P, Q = _cumtrap(p, hh), _rcumtrap(p, hh)
         q[1:-1] = np.exp(top - lm[1:-1]) / P[-1] * du[1:-1]
         return ((lambda z: _flux_apply(z, P, Q, q, hh)),
                 lambda: _pencil(lm, du, hh))
@@ -277,7 +279,7 @@ def _refine(v, closed: bool):
     """v on the mesh of half the step: midpoints by four-point cubic
     interpolation, through the odd reflection at 0, where v vanishes, and
     at the far end the odd one where v vanishes there too (closed) or the
-    even one (zero flux)."""
+    even one (the fold's centre, where F' = 0)."""
     ext = np.concatenate(([-v[1]], v, [-v[-2] if closed else v[-2]]))
     out = np.empty(2 * v.size - 1)
     out[0::2] = v
@@ -320,7 +322,8 @@ def _levels(level, closed: bool, tol: float):
     """lambda_1 of the unit interval, one over the top eigenvalue of the
     operator that level(x, hh) sets up on the nodes x, on m = 64, 128, ...
     cells up to the cap; m = 32 only warm-starts m = 64.  closed: v
-    vanishes at both ends (the flux problem), not only at 0.
+    vanishes at both ends (the flux problem), not only at 0 (the fold's
+    outer end; it is even about its centre, 1).
 
     Each level starts from the previous level's vector v_m, stepped by
     (v_m - v_{m/2}) / 4 and interpolated: the mesh error of v expands in
@@ -338,7 +341,7 @@ def _levels(level, closed: bool, tol: float):
         x = np.linspace(0.0, 1.0, m + 1)
         apply, pencil = level(x, 0.5 / m)
         if v is None:
-            v = x * (1.0 - x) if closed else x
+            v = x * (1.0 - x) if closed else x * (2.0 - x)
         elif coarse is None:
             coarse, v = v, _refine(v, closed)
         else:
@@ -392,19 +395,6 @@ def _operator_eigenvalue(level, closed: bool, length: float,
         raise NumericalError(f"lambda_1 = {lam!r} below the normal float "
                              "range")
     return lam
-
-
-def _green_eigenvalue(params: ModelParams, half: float, tol: float) -> float:
-    """lambda_1 of the symmetric interval [-half, half] on the tan (short
-    of the full domain) or tanh branch, from its odd half problem."""
-    return _operator_eigenvalue(_half_level(params, half), False, half, tol)
-
-
-def _flux_eigenvalue(params: ModelParams, a: float, b: float,
-                     tol: float) -> float:
-    """lambda_1 of [a, b] on the tan, tanh or coth branch from the flux
-    problem, for any interval."""
-    return _operator_eigenvalue(_flux_level(params, a, b), True, b - a, tol)
 
 
 def lambda1_model(n: float, K: float, D: float, tol: float = 1e-10) -> float:

@@ -58,8 +58,8 @@ class ModelManifold:
 
 def sphere(n: int, radius: float = 1.0) -> ModelManifold:
     """Round n-sphere: lambda_1 = n/r^2, diam = pi r, K = 1/r^2."""
-    if n < 2 or radius <= 0:
-        raise DomainError(f"need n >= 2, radius > 0, got n={n}, r={radius}")
+    if not (2 <= n < math.inf and 0 < radius < math.inf):
+        raise DomainError(f"need n >= 2, 0 < radius < inf, got {n}, {radius}")
     r2 = radius * radius
     return ModelManifold(name=f"S^{n}(r={radius:g})", kind="sphere", dim=n,
                          lambda1_exact=n / r2,
@@ -70,8 +70,8 @@ def sphere(n: int, radius: float = 1.0) -> ModelManifold:
 def flat_torus(lengths) -> ModelManifold:
     """Flat torus: lambda_1 = (2 pi / max L)^2, diam = half the diagonal."""
     lengths = [float(L) for L in lengths]
-    if not lengths or any(L <= 0 for L in lengths):
-        raise DomainError(f"side lengths must be positive, got {lengths}")
+    if not lengths or not all(0 < L < math.inf for L in lengths):
+        raise DomainError(f"need finite side lengths > 0, got {lengths}")
     n = len(lengths)
     label = "x".join(f"{L:g}" for L in lengths)
     return ModelManifold(name=f"T^{n}({label})", kind="torus", dim=n,
@@ -82,8 +82,8 @@ def flat_torus(lengths) -> ModelManifold:
 
 def circle(circumference: float) -> ModelManifold:
     """Circle: lambda_1 = (2 pi / L)^2, diam = L/2, flat."""
-    if circumference <= 0:
-        raise DomainError(f"circumference must be positive, "
+    if not 0 < circumference < math.inf:
+        raise DomainError(f"circumference must be positive and finite, "
                           f"got {circumference}")
     L = float(circumference)
     return ModelManifold(name=f"S^1(L={L:g})", kind="circle", dim=1,
@@ -166,6 +166,8 @@ def gradient_comparison_sphere(n: int, n_samples: int = 1000
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples > 0):
+        raise DomainError(f"need an integer n_samples >= 1, got {n_samples!r}")
     params = ModelParams(float(n), 1.0, Branch.TAN)
     lo = params.domain().lo
     sol = solve_ivp(params, float(n), lo)

@@ -89,9 +89,9 @@ def constant_drift_limit(params: ModelParams, lambda_bar: float) -> float:
     if params.curv >= 0:
         raise DomainError("constant-drift limit applies to negative curvature")
     gap = lambda_bar - params.essential_threshold
-    if gap <= 0:
-        raise DomainError("constant-drift limit needs lambda_bar above "
-                          "theta^2/4")
+    if not 0 < gap < math.inf:
+        raise DomainError(f"constant-drift limit needs a finite lambda_bar "
+                          f"above theta^2/4, got {lambda_bar}")
     omega = math.sqrt(gap)
     return math.exp(-params.theta * math.pi / (2.0 * omega))
 
@@ -139,6 +139,8 @@ def reflection_check(params: ModelParams, lambda_bar: float, a: float,
     """
     if params.branch is Branch.COTH:
         raise DomainError("coth drift has no reflection-symmetric domain")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples > 0):
+        raise DomainError(f"need an integer n_samples >= 1, got {n_samples!r}")
     sol = model.solve_ivp(params, lambda_bar, a)
     if not math.isfinite(sol.d):
         raise DomainError("reflection check needs a finite first maximum")

@@ -211,6 +211,8 @@ def drift_eval(params: ModelParams, t):
     """Drift T(t); t may be a scalar or an array, strictly inside the domain."""
     dom = params.domain()
     arr = np.asarray(t, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("drift evaluated at nan")
     if np.any(arr <= dom.lo) or np.any(arr >= dom.hi):
         if not (dom.lo == -math.inf and dom.hi == math.inf):
             raise DomainError("drift evaluated at or beyond a domain endpoint")
@@ -260,7 +262,7 @@ def weight_mu(params: ModelParams, t):
     rounding, on tan) at poles."""
     dom = params.domain()
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < dom.lo) or np.any(arr > dom.hi):
+    if not np.all((arr >= dom.lo) & (arr <= dom.hi)):  # nan too
         raise DomainError("weight evaluated outside the closed domain")
     out = np.exp(log_weight(params, arr))
     return out if arr.ndim else float(out)

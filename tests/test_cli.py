@@ -112,13 +112,11 @@ def test_domain_error_exit_2(runner):
 
 
 def test_numerical_error_exit_3(runner):
-    # n = 1.5 within 1e-6 of the closing diameter: cos^(1/2) is not smooth
-    # at the pole, the Romberg extrapolants do not settle by the mesh cap,
-    # so the run ends with a numerical failure
-    D = repr(math.pi * (1.0 - 1e-6))
-    res = runner.invoke(cli, ["bound", "-n", "1.5", "-K", "1", "-D", D])
+    # theta D / 2 = 711: lambda_1 lies below the normal floats, so the run
+    # ends with a numerical failure that names it
+    res = runner.invoke(cli, ["bound", "-n", "3", "-K", "-1", "-D", "711"])
     assert res.exit_code == 3
-    assert "certified" in res.output.lower()
+    assert "below the normal float range" in res.output
 
 
 _NO_SCIPY_RUN = """

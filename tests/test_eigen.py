@@ -190,7 +190,8 @@ def integrator_calls(monkeypatch):
 
 @pytest.fixture
 def green_applications(monkeypatch):
-    """Counts the applications of the symmetric path's Green operator."""
+    """Counts the applications of the symmetric path's operator, the flux
+    operator folded onto half the interval."""
     count = [0]
     apply = eigen._green_apply
 
@@ -220,7 +221,7 @@ def test_lambda1_solve_count(integrator_calls, green_applications):
     """The sweep grid integrates nothing and its operator applications
     stay bounded; the points 1e-6 short of the closing diameter (40 to 44
     angle solves against 9 elsewhere on the shooting root) meet the same
-    bound.  Today: median 25, at most 40 on the grid, 39 at closing."""
+    bound.  Today: median 25, at most 43 on the grid, 42 at closing."""
     per_call = []
     for n, K, D in SWEEP_GRID:
         green_applications[0] = 0
@@ -489,13 +490,18 @@ def test_non_integer_pole_ends_take_the_graded_mesh(n, integrator_calls):
     """mu ~ s^(n - 1) at the pole: on the uniform mesh the flux operator's
     Romberg table did not settle there for n < 2.  On the mesh graded at
     each end at or next to a pole, whatever n is, it certifies with no
-    integrator call, within 1e-10 of the tests-side Pruefer root."""
+    integrator call, within 1e-10 of the tests-side Pruefer root.  So
+    does lambda1_model's interval 1e-6 short of the closing diameter,
+    folded onto its half and graded at the outer end."""
     half_pi = math.pi / 2
     tan = ModelParams(n, 1.0, Branch.TAN)
     intervals = [(ModelParams(n, -1.0, Branch.COTH), 0.0, 1.8),
                  (tan, -half_pi, half_pi - 1e-6)]
     for off in (0.0, 1e-6, 1e-3):
         intervals += [(tan, -half_pi + off, 0.3), (tan, -0.2, half_pi - off)]
+    for K in (0.25, 1.0, 2.0):
+        h = 0.5 * math.pi / math.sqrt(K) * (1.0 - 1e-6)
+        intervals.append((ModelParams(n, K, Branch.TAN), -h, h))
     for params, a, b in intervals:
         integrator_calls[0] = 0
         got = neumann_eigenvalue_shooting(EigenQuery(params, a, b))

@@ -21,9 +21,11 @@ from specgap.eigen import (EigenQuery, lambda1_model,
                            neumann_eigenvalue_shooting,
                            symmetric_interval_length)
 from specgap.errors import DomainError, SpecgapError
-from specgap.harness import diameter_chain_check
-from specgap.matching import match_maximum
-from specgap.model import Branch, ModelParams, solve_ivp
+from specgap.harness import (circle, diameter_chain_check, flat_torus,
+                             gradient_comparison_sphere, sphere)
+from specgap.matching import (constant_drift_limit, match_maximum,
+                              reflection_check)
+from specgap.model import Branch, ModelParams, drift_eval, solve_ivp, weight_mu
 from specgap.perturbation import (check_term_III, choose_alpha_beta,
                                   choose_N, perturbed_params)
 
@@ -54,6 +56,8 @@ CALLS = [
     (diameter_chain_check, (3.0, 1.0, 2.5, 0.1)),
     (lambda lam, a: solve_ivp(TANH3, lam, a), (3.0, -1.0)),
     (lambda lam, a: solve_ivp(TAN3, lam, a), (4.5, -math.pi / 2)),
+    (lambda k: reflection_check(TANH3, 1.5, -1.0, k), (201,)),
+    (lambda k: gradient_comparison_sphere(3, k), (100,)),
     (lambda L, K, tau, mesh: solve_J(_mathieu(L), K, tau, mesh),
      (2 * math.pi, 1.0, 2.0, 64)),
     (lambda L, K, tau, mesh: solve_J(_mathieu(L, Geometry.INTERVAL), K, tau,
@@ -144,7 +148,28 @@ def test_non_finite_inputs_are_domain_errors():
                      lambda: yang(3.0, x, 1.0),
                      lambda: aubry(3.0, x, 2.0, 0.1, 1.0),
                      lambda: check_term_III(3.0, 1.0, 3.0, 0.5, 0.0, [x]),
-                     lambda: check_term_III(3.0, x, 3.0, 0.5, 0.0, 1.0)):
+                     lambda: check_term_III(3.0, x, 3.0, 0.5, 0.0, 1.0),
+                     # these built manifolds with nan spectra, or (torus
+                     # side inf) lambda1_exact 0 and an infinite diameter,
+                     # or returned nan
+                     lambda: sphere(3, x),
+                     lambda: circle(x),
+                     lambda: flat_torus([x]),
+                     lambda: flat_torus([1.0, x]),
+                     lambda: constant_drift_limit(TANH3, x),
+                     lambda: weight_mu(TAN3, x),
+                     lambda: drift_eval(TAN3, x)):
             with pytest.raises(DomainError):
                 call()
+    # nan lies on neither side of the whole line: these returned nan
+    for call in (lambda: weight_mu(TANH3, math.nan),
+                 lambda: drift_eval(TANH3, [0.5, math.nan])):
+        with pytest.raises(DomainError):
+            call()
+    # no samples raised a builtin ValueError, a fractional count TypeError
+    for k in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            reflection_check(TANH3, 1.5, -1.0, k)
+        with pytest.raises(DomainError):
+            gradient_comparison_sphere(3, k)
 
