@@ -15,11 +15,8 @@ and compares each value with a reference that shares no code with
 either:
 
 * K = 0: pi^2/D^2;
-* n = 3: the closed form (w = u / cos or u / cosh turns the ODE into
-  u'' + (lambda + K) u = 0), solved with mpmath;
-* other n, K < 0: the flux form w' = 1/mu - lambda G, G' = w - (mu'/mu) G
-  (G = int_0^t mu w / mu), w(0) = G(0) = 0, integrated by scipy's DOP853
-  at rtol 1e-13, where lambda1 is the root of lambda G(D/2) mu(D/2) = 1;
+* n = 3: the closed form (tests/n3_oracle.py);
+* other n, K < 0: the half-interval flux form (tests/flux_oracle.py);
 * other n, K > 0: the Pruefer root where it certifies, else none.
 
 A verdict is "meets tol" (within the default tol 1e-10 of the
@@ -47,12 +44,9 @@ its integrator calls) and the Pruefer root on every point.  The points
   100, 200, 300, 400, 600}, and (n, L) = (5, 80), (7, 40) and (10, 40);
   (3, 5) is the pole set's coth [0, 2.5], listed there only.
 
-References: for n = 3 the closed form on [a, b] (n3_interval); for the
-(10, -1) intervals a flux-form shot w' = F / mu, F' = -lambda mu w,
-w(a) = 1, F(a) = 0 by scipy's DOP853 at rtol 1e-13, with lambda_1 the
-root of F(b) whose w changes sign once; otherwise the Pruefer root where
-it certifies, else none.  bench/reference.lambda1_interval is not used:
-its scan steps over lambda_1 where lambda_2 / lambda_1 < 1.25.
+References: for n = 3 the closed form on [a, b]; for the (10, -1)
+intervals the flux-form shot on [a, b]; otherwise the Pruefer root where
+it certifies, else none.
 
 The script exits with status 1 if any verdict is SILENT MISS, or if
 lambda1_model raises on any symmetric point.
@@ -65,10 +59,7 @@ import os
 import sys
 import time
 
-import mpmath as mp
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from specgap import model
 from specgap.eigen import (EigenQuery, _pole_ends, lambda1_model,
@@ -78,6 +69,8 @@ from specgap.model import Branch, ModelParams, branch_for_curvature
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests"))
+from flux_oracle import flux_form, flux_shot  # noqa: E402
+from n3_oracle import lambda1_interval, lambda1_symmetric  # noqa: E402
 from prufer_oracle import prufer_eigenvalue  # noqa: E402
 
 TOL = 1e-10
@@ -95,136 +88,6 @@ def diameters(K: float) -> np.ndarray:
     else:
         top = 30.0
     return np.geomspace(0.05, top, N_D)
-
-
-def n3_closed_form(K: float, D: float) -> float:
-    """The Neumann end D/2 of the odd u (u(0) = 0) is the first root of
-    the flux g u' - g' u, g = cos or cosh of sqrt|K| t; u is entire in
-    lambda + K, so a complex square root is safe."""
-    with mp.workdps(40 + int(math.sqrt(abs(K)) * D / 2)):
-        h, s = mp.mpf(D) / 2, mp.sqrt(abs(mp.mpf(K)))
-        if K > 0:
-            g, dg = mp.cos(s * h), -s * mp.sin(s * h)
-            lo, hi = (mp.pi / (2 * h)) ** 2 - K, (mp.pi / h) ** 2 - K
-        else:
-            g, dg = mp.cosh(s * h), s * mp.sinh(s * h)
-            lo, hi = mp.mpf(0), (mp.pi / (2 * h)) ** 2 - K
-
-        def flux(lam):
-            k = mp.sqrt(mp.mpc(lam + K))
-            return mp.re(g * mp.cos(k * h) - dg * mp.sin(k * h) / k)
-
-        return float(mp.findroot(flux, (lo, hi), solver="anderson"))
-
-
-def flux_form(n: float, K: float, D: float, guess: float) -> float:
-    """tanh branch: ln lambda + ln G(D/2) + ln mu(D/2) = 0, a Brent root
-    in ln lambda; the guess only seeds the bracket."""
-    s, n1, L = math.sqrt(-K), n - 1.0, 0.5 * D
-    log_mu = n1 * (s * L + math.log1p(math.exp(-2.0 * s * L)) - math.log(2.0))
-
-    def h(log_lam):
-        lam = math.exp(log_lam)
-
-        def rhs(t, y):
-            return (math.cosh(s * t) ** -n1 - lam * y[1],
-                    y[0] - n1 * s * math.tanh(s * t) * y[1])
-
-        sol = solve_ivp(rhs, (0.0, L), [0.0, 0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-15)
-        return log_lam + math.log(sol.y[1, -1]) + log_mu
-
-    lo = hi = math.log(guess)
-    while h(lo) > 0.0:
-        lo -= 0.05
-    while h(hi) < 0.0:
-        hi += 0.05
-    return math.exp(brentq(h, lo, hi, xtol=1e-14, rtol=1e-15))
-
-
-def n3_interval(K: float, branch: str, a: float, b: float):
-    """lambda_1 of the n = 3 model on [a, b] from the closed form, or None.
-
-    With mu = g^2 (g = cos, cosh or sinh of sqrt|K| t), w = u / g turns
-    the ODE into u'' + (lambda + K) u = 0, and from w'(a) = 0 (u = g,
-    u' = g' at a) the Neumann end b is a root of the flux g u' - g' u in
-    lambda.  Below the essential threshold -K (K < 0) at most one root
-    lies (u then has at most one zero), so a geometric scan there cannot
-    step over two; above it the scan is linear in k = sqrt(lambda + K),
-    from k = 0, by a sixteenth of pi / (b - a), the spacing of the roots
-    in k.  The first root, by bisection, is lambda_1 only if its w
-    changes sign once; otherwise None.
-    """
-    g, dg = {"tan": (mp.cos, lambda z: -mp.sin(z)),
-             "tanh": (mp.cosh, mp.sinh), "coth": (mp.sinh, mp.cosh)}[branch]
-    with mp.workdps(40 + int(math.sqrt(abs(K)) * (b - a))):
-        s, a, b = mp.sqrt(abs(mp.mpf(K))), mp.mpf(a), mp.mpf(b)
-        ga, dga = g(s * a), s * dg(s * a)
-        gb, dgb = g(s * b), s * dg(s * b)
-
-        def u(lam, t):
-            k, tau = mp.sqrt(mp.mpc(lam + K)), t - a
-            return (mp.re(ga * mp.cos(k * tau) + dga * mp.sin(k * tau) / k),
-                    mp.re(dga * mp.cos(k * tau) - ga * k * mp.sin(k * tau)))
-
-        def flux(lam):
-            ub, dub = u(lam, b)
-            return (gb * dub - dgb * ub) / lam
-
-        def scan():
-            lam = mp.mpf(10) ** -40 * (1 + abs(K))
-            while K < 0 and lam < -K:
-                yield lam
-                lam *= 2
-            # from the threshold itself: the last doubling may overshoot
-            # it by up to a factor 2, past the first root's k
-            k = mp.mpf(0) if K < 0 else mp.sqrt(lam + K)
-            dk = mp.pi / (16 * (b - a))
-            for _ in range(4000):
-                k += dk
-                yield k * k - K
-
-        prev = f_prev = None
-        for lam in scan():
-            f = flux(lam)
-            if prev is not None and f * f_prev <= 0:
-                break
-            prev, f_prev = lam, f
-        else:
-            return None
-        lo, hi = prev, lam
-        while hi - lo > mp.mpf(10) ** -20 * hi:  # bisection: flux varies
-            mid = (lo + hi) / 2                   # over decades in lambda
-            if flux(mid) * f_prev > 0:
-                lo = mid
-            else:
-                hi = mid
-        root = (lo + hi) / 2
-        w = [u(root, t)[0] / g(s * t) for t in mp.linspace(a, b, 2003)[1:-1]]
-        if sum(x * y < 0 for x, y in zip(w, w[1:])) != 1:
-            return None
-        return float(root)
-
-
-def flux_shot_tanh(n: float, K: float, a: float, b: float, guess: float):
-    """tanh branch: the root of F(b) in [0.8, 1.2] guess from the
-    flux-form shot, if its w changes sign once; otherwise None."""
-    s, n1 = math.sqrt(-K), n - 1.0
-
-    def shot(lam):
-        def rhs(t, y):
-            mu = math.cosh(s * t) ** n1
-            return y[1] / mu, -lam * mu * y[0]
-        return solve_ivp(rhs, (a, b), [1.0, 0.0], method="DOP853",
-                         rtol=1e-13, atol=1e-16, dense_output=True)
-
-    try:
-        lam = brentq(lambda lam: shot(lam).y[1, -1], 0.8 * guess,
-                     1.2 * guess, xtol=1e-300, rtol=8.9e-16)
-    except ValueError:
-        return None
-    w = shot(lam).sol(np.linspace(a, b, 2001))[0]
-    return lam if np.count_nonzero(np.diff(np.sign(w))) == 1 else None
 
 
 def asymmetric_points():
@@ -301,10 +164,11 @@ def asymmetric_rows():
             oa, ob = -b, -a
         prufer = attempt(lambda: prufer_eigenvalue(params, oa, ob, TOL))
         if n == 3:
-            ref, source = n3_interval(K, branch.value, oa, ob), "closed form"
+            ref = lambda1_interval(K, oa, ob, branch.value)
+            source = "closed form"
         elif branch is Branch.TANH:
             seed = prufer if isinstance(prufer, float) else route
-            ref = (flux_shot_tanh(n, K, a, b, seed)
+            ref = (flux_shot(n, K, a, b, seed)
                    if isinstance(seed, float) else None)
             source = "flux shot"
         elif isinstance(prufer, float):
@@ -352,7 +216,7 @@ def main() -> None:
                 if K == 0:
                     ref, source = math.pi ** 2 / D ** 2, "pi^2/D^2"
                 elif n == 3:
-                    ref, source = n3_closed_form(K, D), "closed form"
+                    ref, source = lambda1_symmetric(K, D), "closed form"
                 elif K < 0:
                     seed = green if isinstance(green, float) else prufer
                     ref = (flux_form(n, K, D, seed)

@@ -293,8 +293,8 @@ def _shifted_solve(d: np.ndarray, off: float, v: np.ndarray,
     overwrites; its off-diagonal entries are -off, and on the circle also
     the two corners.  One ``dptsv`` call factors the tridiagonal part.  On
     the circle it takes the right-hand sides v, e_0 and e_{m-1} at once,
-    and the corners enter through a 2 x 2 Woodbury system, as sums of
-    nonnegative terms.
+    and the corners enter through the adjugate of a 2 x 2 Woodbury
+    M-matrix, as sums of nonnegative terms.
     """
     m = d.size
     e = np.full(m - 1, -off)
@@ -304,11 +304,12 @@ def _shifted_solve(d: np.ndarray, off: float, v: np.ndarray,
     rhs[:, 0] = v
     rhs[0, 1] = rhs[-1, 2] = 1.0
     y = dptsv(d, e, rhs)
-    # x = y + off (x_{m-1} p + x_0 q), p = T^-1 e_0, q = T^-1 e_{m-1}
+    # x = y + off (x_{m-1} p + x_0 q), p = T^-1 e_0, q = T^-1 e_{m-1}, and
+    # [[a, -b], [-c, g]] (x_0, x_{m-1}) = (y_0, y_{m-1})
     p, q = y[:, 1], y[:, 2]
-    x0, x1 = np.linalg.solve(
-        [[1.0 - off * q[0], -off * p[0]],
-         [-off * q[-1], 1.0 - off * p[-1]]], y[[0, -1], 0])
+    a, b, c, g = 1 - off * q[0], off * p[0], off * q[-1], 1 - off * p[-1]
+    y0, y1, det = y[0, 0], y[-1, 0], a * g - b * c
+    x0, x1 = (g * y0 + b * y1) / det, (a * y1 + c * y0) / det
     return y[:, 0] + off * (x1 * p + x0 * q)
 
 

@@ -1,6 +1,6 @@
 """Command-line front end with machine-readable output.
 
-Every subcommand assembles one record (or a stream of records) shaped as
+Every subcommand assembles one record (or a list of records) shaped as
 
     {schema_version, query, results, flags, timings}
 
@@ -59,11 +59,7 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return x if math.isfinite(x) else str(x)  # "nan", "inf", "-inf"
     return obj
 
 
@@ -71,12 +67,7 @@ def _scalar_text(val, digits: int) -> str:
     if isinstance(val, (bool, np.bool_)):
         return "true" if val else "false"
     if isinstance(val, (float, np.floating)):
-        x = float(val)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, f".{digits}g")
+        return format(float(val), f".{digits}g")  # "nan", "inf", "-inf" too
     return str(val)
 
 
@@ -275,7 +266,8 @@ def sweep(gridfile, fmt):
 
     The grid file holds lines 'axis = v1 v2 ...' (comma or space
     separated) for axes n, K, D and optionally alpha; '#' starts a
-    comment.  Rows stream in grid order (n outermost, alpha innermost).
+    comment.  Rows print in grid order (n outermost, alpha innermost) once
+    the whole grid is done, as the CSV header joins every row's columns.
     """
     axes = _parse_grid(gridfile)
     _emit([_bound_record(dict(n=n, K=K, D=D, alpha=alpha))

@@ -15,7 +15,8 @@ from click.testing import CliRunner
 
 import specgap
 from specgap.cli import cli
-from test_model import n3_first_maximum
+
+from n3_oracle import first_maximum
 
 
 @pytest.fixture
@@ -193,7 +194,7 @@ def test_match_target_twelve_decades_down(runner):
     res = runner.invoke(cli, ["match", "-N", "3", "-K", "-1", "-l", "1.0",
                               "-u", "1e-12", "--format", "json"])
     rec = _json_without_timings(res)
-    _, m = n3_first_maximum("tanh", -1.0, 1.0, rec["results"]["a"])
+    _, m = first_maximum(-1.0, 1.0, rec["results"]["a"], "tanh")
     assert rec["results"]["attained"] == pytest.approx(m, rel=1e-8)
     assert rec["results"]["attained"] == pytest.approx(1e-12, rel=1e-12)
 

@@ -5,11 +5,9 @@ import itertools
 import math
 import statistics
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from specgap import eigen, model
 from specgap.errors import (DomainError, MeshTooCoarse, NumericalError,
@@ -23,6 +21,8 @@ from specgap.eigen import (
 from specgap.model import Branch, ModelParams, branch_for_curvature
 
 from fd_oracle import fd_oracle_eigenvalue
+from flux_oracle import flux_shot
+from n3_oracle import lambda1_interval, lambda1_symmetric
 from prufer_oracle import prufer_eigenvalue
 
 # frozen after cross-validation against the finite-difference oracle
@@ -65,54 +65,14 @@ def test_diameter_beyond_closing_rejected():
         lambda1_model(3, 4.0, math.pi)
 
 
-# exact lambda1(3, K, D) on the symmetric interval, from the n = 3
-# closed form solved with mpmath at 50 digits
-EXACT_N3_SYMMETRIC = {
-    (1.0, 1.0): 10.938514313632894,
-    (-4.0, 2.6): 0.18351081948894607,
-    (-1.0, 6.0): 0.020246463331700822,
-    (-1.0, 20.0): 1.6489230203034684e-08,
-    (-1.0, 30.0): 7.486098375111369e-13,
-    (-0.25, 63.25): 3.6852504294511487e-14,
-}
-
-
-@pytest.mark.parametrize("K,D", list(EXACT_N3_SYMMETRIC))
+@pytest.mark.parametrize("K,D", [(1.0, 1.0), (-4.0, 2.6), (-1.0, 6.0),
+                                 (-1.0, 20.0), (-1.0, 30.0), (-0.25, 63.25)])
 def test_lambda1_meets_tolerance_or_raises(K, D):
-    want = EXACT_N3_SYMMETRIC[(K, D)]
     try:
         got = lambda1_model(3, K, D)
     except SpecgapError:
         return
-    assert abs(got / want - 1.0) <= 1e-10
-
-
-def _exact_n3_symmetric(K, D):
-    """lambda1(3, K, D) from the n = 3 closed form, at 40 + sqrt|K| D / 2
-    digits: the flux below cancels like e^(sqrt|K| D / 2).
-
-    With mu = g^2 (g = cos, cosh of sqrt|K| t), w = u / g turns the ODE
-    into u'' + (lam + K) u = 0; the odd eigenfunction has u(0) = 0,
-    u'(0) = 1, and its Neumann end D/2 is the first root of the flux
-    g u' - g' u.  u is entire in z = lam + K, so complex sqrt(z) is safe.
-    """
-    with mp.workdps(40 + int(math.sqrt(abs(K)) * D / 2)):
-        if K == 0:
-            return float(mp.pi ** 2 / mp.mpf(D) ** 2)
-        K, h = mp.mpf(K), mp.mpf(D) / 2
-        s = mp.sqrt(abs(K))
-        if K > 0:
-            g, dg = mp.cos(s * h), -s * mp.sin(s * h)
-            lo, hi = (mp.pi / (2 * h)) ** 2 - K, (mp.pi / h) ** 2 - K
-        else:
-            g, dg = mp.cosh(s * h), s * mp.sinh(s * h)
-            lo, hi = mp.mpf(0), (mp.pi / (2 * h)) ** 2 - K
-
-        def flux(lam):
-            k = mp.sqrt(mp.mpc(lam + K))
-            return mp.re(g * mp.cos(k * h) - dg * mp.sin(k * h) / k)
-
-        return float(mp.findroot(flux, (lo, hi), solver="anderson"))
+    assert abs(got / lambda1_symmetric(K, D) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("K", [-4.0, -1.0, -0.25, 0.25, 1.0, 2.0])
@@ -126,7 +86,7 @@ def test_lambda1_n3_box_meets_tolerance_or_raises(K):
             got = lambda1_model(3, K, D)
         except SpecgapError:
             continue
-        assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 1e-10, D
+        assert abs(got / lambda1_symmetric(K, D) - 1.0) <= 1e-10, D
 
 
 SWEEP_GRID = list(itertools.product(
@@ -136,32 +96,24 @@ SWEEP_GRID = list(itertools.product(
 @pytest.mark.parametrize("K,D", [(K, D) for n, K, D in SWEEP_GRID if n == 3])
 def test_lambda1_matches_n3_closed_form_on_sweep_grid(K, D):
     got = lambda1_model(3, K, D)
-    assert abs(got / _exact_n3_symmetric(K, D) - 1.0) <= 1e-10
+    assert abs(got / lambda1_symmetric(K, D) - 1.0) <= 1e-10
 
 
 # theta D of 60, 80 and 90, where the Pruefer root cannot certify
-# lambda1: the n = 3 closed form at 80 digits, and for n = 10 the flux
-# form w' = 1/mu - lam G, G' = w - (mu'/mu) G (G = int_0^t mu w / mu),
-# w(0) = G(0) = 0, root of lam G(D/2) mu(D/2) = 1, integrated by mpmath's
-# Taylor method at 25 digits (a bidiagonal finite-volume oracle gave
-# 3.069408432e-16 too)
-LARGE_THETA_D = {
-    (3, -1.0, 30.0): 7.486098375111369e-13,
-    (3, -4.0, 20.0): 1.359473361693309e-16,
-    (10, -1.0, 10.0): 3.0694084317933063e-16,
-}
-
-
-@pytest.mark.parametrize("n,K,D", list(LARGE_THETA_D))
+# lambda1: the n = 3 closed form, and for n = 10 the half-interval flux
+# form of flux_oracle.flux_form integrated by mpmath's Taylor method at
+# 25 digits (a bidiagonal finite-volume oracle gave 3.069408432e-16 too)
+@pytest.mark.parametrize("n,K,D", [(3, -1.0, 30.0), (3, -4.0, 20.0),
+                                   (10, -1.0, 10.0)])
 def test_lambda1_large_theta_d(n, K, D):
-    want = LARGE_THETA_D[(n, K, D)]
+    want = lambda1_symmetric(K, D) if n == 3 else 3.0694084317933063e-16
     assert abs(lambda1_model(n, K, D) / want - 1.0) <= 1e-10
 
 
 def test_lambda1_theta_d_200_matches_closed_form():
     # the closed form's flux cancels like e^(theta D / 4) = e^50 here: at a
     # fixed 40 digits it returned 1.488e-43, half the value 2.976e-43
-    want = _exact_n3_symmetric(-1.0, 100.0)
+    want = lambda1_symmetric(-1.0, 100.0)
     assert abs(lambda1_model(3, -1.0, 100.0) / want - 1.0) <= 1e-10
 
 
@@ -173,48 +125,36 @@ def test_lambda1_below_float_range_is_typed(D):
         lambda1_model(3, -1.0, D)
 
 
-@pytest.fixture
-def integrator_calls(monkeypatch):
-    """Counts the calls of the one model-ODE integrator binding, which
-    every shot goes through."""
-    count = [0]
-    integrate = model._scipy_solve_ivp
+def _calls(monkeypatch, module, name):
+    """Counts the calls of module.name from here on."""
+    count, fn = [0], getattr(module, name)
 
     def counted(*args, **kwargs):
         count[0] += 1
-        return integrate(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_scipy_solve_ivp", counted)
+    monkeypatch.setattr(module, name, counted)
     return count
+
+
+@pytest.fixture
+def integrator_calls(monkeypatch):
+    """Calls of the one model-ODE integrator binding, which every shot
+    goes through."""
+    return _calls(monkeypatch, model, "_scipy_solve_ivp")
 
 
 @pytest.fixture
 def green_applications(monkeypatch):
-    """Counts the applications of the symmetric path's operator, the flux
-    operator folded onto half the interval."""
-    count = [0]
-    apply = eigen._green_apply
-
-    def counted(*args):
-        count[0] += 1
-        return apply(*args)
-
-    monkeypatch.setattr(eigen, "_green_apply", counted)
-    return count
+    """Applications of the symmetric path's operator, the flux operator
+    folded onto half the interval."""
+    return _calls(monkeypatch, eigen, "_green_apply")
 
 
 @pytest.fixture
 def flux_applications(monkeypatch):
-    """Counts the applications of the asymmetric path's flux operator."""
-    count = [0]
-    apply = eigen._flux_apply
-
-    def counted(*args):
-        count[0] += 1
-        return apply(*args)
-
-    monkeypatch.setattr(eigen, "_flux_apply", counted)
-    return count
+    """Applications of the asymmetric path's flux operator."""
+    return _calls(monkeypatch, eigen, "_flux_apply")
 
 
 def test_lambda1_solve_count(integrator_calls, green_applications):
@@ -320,64 +260,24 @@ def test_central_interval_minimizes():
         assert lam >= lam_c - 1e-8 * lam_c
 
 
-def _first_root(f, k0, step=0.01):
-    k = k0
-    while f(k) * f(k + step) > 0:
-        k += step
-    return brentq(f, k, k + step, xtol=1e-15, rtol=8.9e-16)
-
-
 @pytest.mark.parametrize("b", [-math.pi / 2 + 0.01, -1.2, 0.0, 0.7, 1.3])
 def test_pole_launch_matches_n3_closed_form_tan(b):
-    """On [-pi/2, b] with N = 3, K = 1, w = u / cos t turns the ODE into
-    u'' + k^2 u = 0 with lambda = k^2 - 1 and u(-pi/2) = 0, so the
-    Neumann condition at b reads
-    k cos(k (b + pi/2)) cos b + sin(k (b + pi/2)) sin b = 0."""
-    L = b + math.pi / 2
-    k = _first_root(lambda k: k * math.cos(k * L) * math.cos(b)
-                    + math.sin(k * L) * math.sin(b), 1.0 + 1e-3)
+    want = lambda1_interval(1.0, -math.pi / 2, b, "tan")
     p = ModelParams(3.0, 1.0, Branch.TAN)
     lam = neumann_eigenvalue_shooting(EigenQuery(p, -math.pi / 2, b))
-    assert lam == pytest.approx(k * k - 1.0, rel=1e-10)
+    assert lam == pytest.approx(want, rel=1e-10)
     # the even weight makes [-b, pi/2], which ends at the right pole and
     # runs as given, the mirror image with the same eigenvalue
     right = neumann_eigenvalue_shooting(EigenQuery(p, -b, math.pi / 2))
-    assert right == pytest.approx(k * k - 1.0, rel=1e-10)
+    assert right == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("b", [0.3, 0.8, 1.7, 3.0])
 def test_pole_launch_matches_n3_closed_form_coth(b):
-    """On [0, b] with N = 3, K = -1, w = u / sinh t gives u'' + k^2 u = 0
-    with lambda = k^2 + 1 and u(0) = 0, so the Neumann condition at b
-    reads k cos(k b) sinh b = sin(k b) cosh b."""
-    k = _first_root(lambda k: k * math.cos(k * b) * math.sinh(b)
-                    - math.sin(k * b) * math.cosh(b), 1e-3)
     p = ModelParams(3.0, -1.0, Branch.COTH)
     lam = neumann_eigenvalue_shooting(EigenQuery(p, 0.0, b))
-    assert lam == pytest.approx(k * k + 1.0, rel=1e-8)
-
-
-def _flux_form_eigenvalue(n, K, a, b, lo, hi):
-    """A Neumann eigenvalue in [lo, hi] of the tanh model on [a, b] from
-    the flux F = mu w': w' = F / mu, F' = -lam mu w, w(a) = 1, F(a) = 0,
-    by scipy's DOP853, as Brent's root of F(b) in lam.  Returns it with
-    the number of sign changes of its eigenfunction (one for lambda_1).
-    Neither the Pruefer angle nor the package's integrator is involved."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    s, n1 = math.sqrt(-K), n - 1.0
-
-    def shot(lam):
-        def rhs(t, y):
-            mu = math.cosh(s * t) ** n1
-            return y[1] / mu, -lam * mu * y[0]
-        return scipy_solve_ivp(rhs, (a, b), [1.0, 0.0], method="DOP853",
-                               rtol=1e-13, atol=1e-16, dense_output=True)
-
-    lam = brentq(lambda lam: shot(lam).y[1, -1], lo, hi, xtol=1e-300,
-                 rtol=8.9e-16)
-    w = shot(lam).sol(np.linspace(a, b, 2001))[0]
-    return lam, int(np.count_nonzero(np.diff(np.sign(w))))
+    assert lam == pytest.approx(lambda1_interval(-1.0, 0.0, b, "coth"),
+                                rel=1e-8)
 
 
 @pytest.mark.parametrize("a,b,lam", [(-1.863, 2.082, 2.45e-4),
@@ -386,49 +286,15 @@ def test_long_asymmetric_tanh_n10_meets_flux_form(a, b, lam):
     # the angle at b is nearly flat in lambda on the first (it moves by
     # 1.3e-12 across lambda (1 -+ 1e-10)) and steep on the second, where
     # an angle run by scipy's LSODA put lambda_1 3.3e-10 and 1.2e-10 off
-    want, zeros = _flux_form_eigenvalue(10.0, -1.0, a, b, 0.8 * lam,
-                                        1.2 * lam)
-    assert zeros == 1
+    want = flux_shot(10.0, -1.0, a, b, lam)
     p = ModelParams(10.0, -1.0, Branch.TANH)
     got = neumann_eigenvalue_shooting(EigenQuery(p, a, b))
     assert abs(got / want - 1.0) <= 1e-10
 
 
-def _exact_n3_tanh(K, a, b, lo, hi):
-    """A Neumann eigenvalue in [lo, hi] of the n = 3 tanh model on [a, b],
-    with the number of sign changes of its eigenfunction (one for
-    lambda_1).
-
-    With mu = g^2, g = cosh(sqrt(-K) t), w = u / g turns the ODE into
-    u'' + (lam + K) u = 0.  From w(a) = 1, w'(a) = 0, so u = g and u' = g'
-    at a, the Neumann end b is a root of the flux g u' - g' u in lam; u is
-    entire in lam + K, so complex sqrt(lam + K) is safe.  At
-    40 + sqrt(-K) (b - a) digits: the flux cancels like
-    e^(sqrt(-K) (b - a)).
-    """
-    with mp.workdps(40 + int(math.sqrt(-K) * (b - a))):
-        s, a, b = mp.sqrt(-mp.mpf(K)), mp.mpf(a), mp.mpf(b)
-        ga, dga = mp.cosh(s * a), s * mp.sinh(s * a)
-        gb, dgb = mp.cosh(s * b), s * mp.sinh(s * b)
-
-        def u(lam, t):
-            k, tau = mp.sqrt(mp.mpc(lam + K)), t - a
-            return (mp.re(ga * mp.cos(k * tau) + dga * mp.sin(k * tau) / k),
-                    mp.re(dga * mp.cos(k * tau) - ga * k * mp.sin(k * tau)))
-
-        def flux(lam):
-            ub, dub = u(lam, b)
-            return gb * dub - dgb * ub
-
-        lam = mp.findroot(flux, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
-        w = [u(lam, t)[0] / mp.cosh(s * t) for t in mp.linspace(a, b, 2001)]
-        return float(lam), sum(x * y < 0 for x, y in zip(w, w[1:]))
-
-
 def test_long_tanh_interval_meets_n3_closed_form():
     # theta L = 40: the Pruefer root raised NumericalError here
-    want, zeros = _exact_n3_tanh(-1.0, -10.0, 30.0, 8.0e-9, 8.5e-9)
-    assert zeros == 1
+    want = lambda1_interval(-1.0, -10.0, 30.0, "tanh")
     p = ModelParams(3.0, -1.0, Branch.TANH)
     got = neumann_eigenvalue_shooting(EigenQuery(p, -10.0, 30.0))
     assert abs(got / want - 1.0) <= 1e-10
@@ -671,7 +537,7 @@ def test_symmetric_interval_length_long_interval():
     # lambda_bar = 1e-9 on (3, -1) needs theta D ~ 46; the length's
     # eigenvalue amplifies its relative error about 46 times
     D = symmetric_interval_length(ModelParams(3.0, -1.0, Branch.TANH), 1e-9)
-    assert abs(_exact_n3_symmetric(-1.0, D) / 1e-9 - 1.0) <= 1e-7
+    assert abs(lambda1_symmetric(-1.0, D) / 1e-9 - 1.0) <= 1e-7
 
 
 @pytest.mark.parametrize("lam", [1e-20, 1e-100, 1e-300])

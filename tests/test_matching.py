@@ -18,7 +18,7 @@ from specgap.matching import (
 )
 from specgap.model import Branch, ModelParams, solve_ivp
 
-from test_model import n3_first_maximum
+from n3_oracle import first_maximum
 
 TAN3 = ModelParams(3.0, 1.0, Branch.TAN)
 TANH3 = ModelParams(3.0, -1.0, Branch.TANH)
@@ -198,8 +198,7 @@ def test_match_stops_where_a_shot_resolves(params, lam, u, case):
     res = match_maximum(params, lam, u)
     assert res.case == case
     assert abs(res.residual) <= matching.model.RTOL * u
-    _, m = n3_first_maximum(res.params.branch.value, lam=lam, a=res.a,
-                            K=params.curv)
+    _, m = first_maximum(params.curv, lam, res.a, res.params.branch.value)
     assert m == pytest.approx(u, abs=1e-9)
 
 
