@@ -290,11 +290,13 @@ def _rms(x: float, y: float) -> float:
 
 
 def _interpolate(F, y0: float, x):
-    """Dense output at the fraction x of the step (float or array)."""
-    y = 0.0
-    for i, f in enumerate(reversed(F)):
-        y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
-    return y + y0
+    """Dense output at the fraction x of the step (float or array): from
+    the last of the seven coefficients F, add each and multiply by x and
+    1 - x in turn, written out."""
+    f0, f1, f2, f3, f4, f5, f6 = F
+    z = 1.0 - x
+    return ((((((((0.0 + f6) * x + f5) * z + f4) * x + f3) * z + f2) * x
+               + f1) * z + f0) * x + y0)
 
 
 class Trajectory:

@@ -20,9 +20,23 @@ symmetric position.  The minimisation/matching facts used here:
   start at or past the critical position never turns (solve_ivp
   certifies d = inf); matching counts its maximum as m = 0, the limit of
   m at the critical start, so m stays continuous and non-increasing
-  along the walk and a bracket may end past that position.  Any other
-  certified non-turning start (the "pole" certificate: no turn before
-  the tan pole) raises CertifiedInfinite.
+  along the family.  Any other certified non-turning start (the "pole"
+  certificate: no turn before the tan pole) raises CertifiedInfinite.
+
+Each family is matched by one Brent root in a start variable x in which
+m is close to linear, and whose ends are starts with m known from a shot
+already taken or in closed form (2 sqrt|Kbar| is the rate at which the
+drift approaches its constant limit):
+
+* tan: x = sqrt((a - pole)^2 + c^2) - c, c = (N - 1)/sqrt(lambda_bar),
+  from the pole start (m_min) to the symmetric one (m = 1).  Within c of
+  the pole, where its drift (N - 1)/(a - pole) outweighs the frequency,
+  m is even in a - pole and m ~ m_min + C x; beyond, x grows as a does.
+* coth: x = (1 - e^(-2 sqrt|Kbar| a))^2 from the singular start (m_min)
+  at x = 0 to the distant starts (m_const) at x = 1.
+* tanh: x = 1 - e^(-2 sqrt|Kbar| (a - a_sym)) from the symmetric start
+  (m = 1) at x = 0 to the distant starts (m_const, or 0 below the
+  threshold) at x = 1.
 
 The reflection identity w_-(x) = -w(-x)/m maps the solution started at a
 to the one started at -b, exchanging the roles of minimum and maximum;
@@ -38,7 +52,7 @@ import numpy as np
 
 from . import model
 from .eigen import symmetric_interval_length
-from .errors import (BracketFailure, CertifiedInfinite, DomainError,
+from .errors import (CertifiedInfinite, DomainError, NumericalError,
                      TargetBelowMinimum)
 from .model import Branch, ModelParams
 
@@ -163,46 +177,35 @@ def _family_max(params: ModelParams, lambda_bar: float, a: float) -> float:
     return 0.0 if math.isinf(sol.d) else sol.m
 
 
-def _walk(m, u_star: float, near: float, probe,
-          rising: bool) -> tuple[float, float]:
-    """Probe a = probe(0), probe(1), ... until m(a) crosses u_star.
+def _match_root(params: ModelParams, lambda_bar: float, u_star: float,
+                known: dict, x_hi: float, start, case: str) -> MatchResult:
+    """Brent root of m(start(x)) = u_star over x in [0, x_hi], START
+    monotone, with m memoised from the KNOWN {a: m(a)} of both ends on.
+    It stops at the first start within model.RTOL u_star of the target,
+    and raises NumericalError where no start floats tell apart is."""
+    from ._ode import _EPS, brentq
 
-    RISING: m grows along the walk.  Returns the last probe short of the
-    target (NEAR if none is) and the first one past it.
-    """
-    for k in range(64):
-        a = probe(k)
-        if (m(a) > u_star) == rising:
-            return near, a
-        near = a
-    raise BracketFailure("bracket walk exhausted its step budget")
-
-
-def _memo(params: ModelParams, lambda_bar: float, known: dict):
-    """m(a) for the family of PARAMS, memoised for the call from the KNOWN
-    values {a: m(a)} on."""
     def m(a: float) -> float:
         if a not in known:
             known[a] = _family_max(params, lambda_bar, a)
         return known[a]
-    return m
 
+    def gap(x: float) -> float:
+        r = m(start(x)) - u_star
+        if abs(r) <= model.RTOL * u_star:
+            return 0.0
+        # a start that never turns (m = 0) gives only a sign: read as -1,
+        # below every turning start's gap, the plateau does not pass for
+        # a start near the root
+        return r if r > -u_star else -1.0
 
-def _match_root(params: ModelParams, m, u_star: float, lo: float, hi: float,
-                case: str) -> MatchResult:
-    """Brent root of m(a) = u_star for starts a in the bracket [lo, hi],
-    stopped at the first start whose m a shot resolves to u_star: within
-    model.RTOL u_star."""
-    from ._ode import brentq
-
-    def gap(a: float) -> float:
-        r = m(a) - u_star
-        return 0.0 if abs(r) <= model.RTOL * u_star else r
-
-    a_root = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    attained = m(a_root)
-    return MatchResult(params, a_root, case, u_star, attained,
-                       attained - u_star)
+    a = start(brentq(gap, 0.0, x_hi, xtol=4.0 * _EPS * x_hi, rtol=4.0 * _EPS))
+    attained = m(a)
+    if abs(attained - u_star) > model.RTOL * u_star:
+        raise NumericalError(
+            f"no start resolves max w = {u_star!r}: closest a = {a!r} "
+            f"attains {attained!r}, residual {attained - u_star!r}")
+    return MatchResult(params, a, case, u_star, attained, attained - u_star)
 
 
 def match_maximum(params: ModelParams, lambda_bar: float,
@@ -210,16 +213,12 @@ def match_maximum(params: ModelParams, lambda_bar: float,
     """Find the start a whose solution attains max w = u_star.
 
     Settles the boundary cases (tan anchor, symmetric start, singular
-    start, constant-drift band), then selects the drift family and a
-    bracket inside it for a Brent root of the monotone map a -> m(a).
-    The root stops at the first start whose m lies within model.RTOL
-    u_star of the target, the accuracy to which a shot resolves m.  Each
-    family's m is memoised for the call, so no start is solved twice, and
-    starts with m (1 at the symmetric start, by construction) already
-    known are not solved at all.  On negative curvature the singular
-    start's m_min is solved only for targets up to the band around
-    m_const: the targets above are the tanh family's, which m_min
-    neither bounds nor brackets.
+    start, constant-drift band), then takes one Brent root in the drift
+    family's start variable (see the module docstring), which stops at
+    the first start whose m lies within model.RTOL u_star of the target,
+    the accuracy to which a shot resolves m.  No start is solved twice,
+    nor one whose m is known.  On negative curvature the singular start's
+    m_min is solved only for targets up to the band around m_const.
     """
     if not (0.0 < u_star <= 1.0):
         raise DomainError(f"target maximum must lie in (0, 1], got {u_star}")
@@ -249,54 +248,54 @@ def match_maximum(params: ModelParams, lambda_bar: float,
         return MatchResult(even, a, f"{prefix}-symmetric", u_star, 1.0,
                            1.0 - u_star)
 
-    s = params.scale
-    known = {}
-    m_pole = _memo(pole, lambda_bar, known)
+    rate = 2.0 * params.scale
+    lo = pole.domain().lo
     turns = params.curv > 0 or lambda_bar > params.essential_threshold
-    # the tanh family matches every target below the essential threshold,
-    # where the pole family does not turn, and those above the
-    # constant-drift band; the singular start neither bounds nor brackets
-    # them
-    tanh = params.curv < 0
+    # m_const is m of the distant starts on negative curvature, 0 below the
+    # threshold where they never turn.  The tanh family matches every
+    # target there and those above the constant-drift band: the singular
+    # start neither bounds nor brackets them
+    m_const, tanh = 0.0, params.curv < 0
     if params.curv < 0 and turns:
         m_const = constant_drift_limit(params, lambda_bar)
         band = max(1e-9, 1e-9 * m_const)
         tanh = u_star > m_const + band
     if not tanh:
         # the pole family turns, so its singular start bounds m from below
-        lo_val = m_pole(pole.domain().lo)
+        lo_val = _family_max(pole, lambda_bar, lo)
         if u_star < lo_val * (1.0 - 1e-12) - 1e-15:
             raise TargetBelowMinimum(
                 f"target {u_star} below family minimum {lo_val}")
         if u_star <= lo_val:
-            return MatchResult(pole, pole.domain().lo, f"{prefix}-pole",
-                               u_star, lo_val, lo_val - u_star, boundary=True)
+            return MatchResult(pole, lo, f"{prefix}-pole", u_star, lo_val,
+                               lo_val - u_star, boundary=True)
         if params.curv < 0 and abs(u_star - m_const) <= band:
             # distant-start boundary: both families flatten at m_const
-            a_big = 14.0 / (2.0 * s) * max(1.0, math.log(10.0))
+            a_big = 14.0 / rate * max(1.0, math.log(10.0))
             attained = _family_max(even, lambda_bar, a_big)
             return MatchResult(even, a_big, "neg-constant", u_star,
                                attained, attained - u_star, boundary=True)
         if params.curv < 0:
-            # coth family: m increases from m_min (a -> 0) to m_const
-            a_lo, a_hi = _walk(m_pole, u_star, 0.0,
-                               lambda k: 0.25 / s * 1.6 ** k, rising=True)
-            return _match_root(pole, m_pole, u_star, a_lo, a_hi,
-                               "neg-super-coth")
+            return _match_root(
+                pole, lambda_bar, u_star, {lo: lo_val, math.inf: m_const},
+                1.0, lambda x: math.log1p(-math.sqrt(x)) / -rate if x < 1.0
+                else math.inf, "neg-super-coth")
 
     # m is 1 at the symmetric start by construction: not solved there
     a_sym = -0.5 * symmetric_interval_length(even, lambda_bar)
     if params.curv > 0:
-        known[a_sym] = 1.0  # on tan the pole family is the even one
-        return _match_root(pole, m_pole, u_star, pole.domain().lo, a_sym,
-                           "tan-interior")
-    # tanh family: m decreases from 1 (symmetric start) toward m_const,
-    # or below the threshold to 0 at the critical start and beyond
-    m_even = _memo(even, lambda_bar, {a_sym: 1.0})
-    a_lo, a_hi = _walk(m_even, u_star, a_sym,
-                       lambda k: a_sym + 2.0 ** k * 0.25 / s, rising=False)
-    return _match_root(even, m_even, u_star, a_lo, a_hi,
-                       "neg-super-tanh" if turns else "neg-sub")
+        # on tan the pole family is the even one; x_hi is a_sym's own x,
+        # so that the root's upper end reads its known m = 1
+        c = (params.dim - 1.0) / math.sqrt(lambda_bar)
+        x_hi = (a_sym - lo) ** 2 / (math.hypot(a_sym - lo, c) + c)
+        return _match_root(
+            pole, lambda_bar, u_star, {lo: lo_val, a_sym: 1.0}, x_hi,
+            lambda x: a_sym if x == x_hi
+            else lo + math.sqrt(x * (x + 2.0 * c)), "tan-interior")
+    return _match_root(
+        even, lambda_bar, u_star, {a_sym: 1.0, math.inf: m_const}, 1.0,
+        lambda x: a_sym - math.log1p(-x) / rate if x < 1.0 else math.inf,
+        "neg-super-tanh" if turns else "neg-sub")
 
 
 def r_epsilon(params: ModelParams, lambda_bar: float, a: float, eps: float,

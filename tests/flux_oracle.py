@@ -1,6 +1,7 @@
-"""Flux-form shots for lambda_1 of the tanh model by scipy's DOP853 at
-rtol 1e-13: references for n != 3 where the Pruefer root cannot certify.
-They share no code with the package, neither its operators nor its
+"""Flux-form shots by scipy's DOP853 at rtol 1e-13: references for
+n != 3, where no closed form exists, for lambda_1 of the tanh model (the
+Pruefer root cannot certify there) and for the first maximum.  They
+share no code with the package, neither its operators nor its
 integrator.
 """
 
@@ -58,3 +59,25 @@ def flux_form(n, K, D, guess):
     while h(hi) < 0.0:
         hi += 0.05
     return math.exp(brentq(h, lo, hi, xtol=1e-14, rtol=1e-15))
+
+
+def first_maximum(n, K, lam, a, branch):
+    """m, the first maximum of w from w(a) = -1, w'(a) = 0 at a regular
+    start a, where the flux F = mu w' (w' = F / mu, F' = -lam mu w, with
+    mu = g^(n-1), g = cos, cosh or sinh of sqrt|K| t) first falls back to
+    0; None if it does not within 50 / sqrt|K| or before the tan pole."""
+    s, n1 = math.sqrt(abs(K)), n - 1.0
+    g = {"tan": math.cos, "tanh": math.cosh, "coth": math.sinh}[branch]
+    hi = 0.5 * math.pi / s * (1.0 - 1e-9) if branch == "tan" else a + 50 / s
+
+    def rhs(t, y):
+        mu = g(s * t) ** n1
+        return y[1] / mu, -lam * mu * y[0]
+
+    def turn(t, y):
+        return y[1]
+    turn.terminal, turn.direction = True, -1
+
+    sol = solve_ivp(rhs, (a, hi), [-1.0, 0.0], method="DOP853", rtol=1e-13,
+                    atol=1e-16, events=turn)
+    return sol.y_events[0][0][0] if sol.status == 1 else None

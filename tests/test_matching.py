@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specgap import matching
-from specgap.errors import CertifiedInfinite, DomainError, TargetBelowMinimum
+from specgap.eigen import symmetric_interval_length
+from specgap.errors import (CertifiedInfinite, DomainError, NumericalError,
+                            TargetBelowMinimum)
 from specgap.matching import (
     constant_drift_limit,
     m_min,
@@ -18,6 +20,7 @@ from specgap.matching import (
 )
 from specgap.model import Branch, ModelParams, solve_ivp
 
+import flux_oracle
 from n3_oracle import first_maximum
 
 TAN3 = ModelParams(3.0, 1.0, Branch.TAN)
@@ -158,12 +161,24 @@ def test_match_negative_subthreshold():
 
 
 def test_match_negative_subthreshold_small_target():
-    # deep targets push the start toward the certified-infinite cutoff;
-    # at 1e-3 the walk's far probe lies past it, where m counts as 0
+    # deep targets push the start toward the certified-infinite cutoff,
+    # past which m counts as 0
     for u in (0.02, 1e-3):
         res = match_maximum(COTH3, 0.9, u)
         assert res.case == "neg-sub"
         assert res.residual == pytest.approx(0.0, abs=1e-8)
+
+
+def _solved_starts(monkeypatch, params, lam, u):
+    """match_maximum(params, lam, u) and the (params, a) of its solves."""
+    solve, starts = matching.model.solve_ivp, []
+
+    def counted(p, lam_bar, a):
+        starts.append((p, a))
+        return solve(p, lam_bar, a)
+
+    monkeypatch.setattr(matching.model, "solve_ivp", counted)
+    return match_maximum(params, lam, u), starts
 
 
 @pytest.mark.parametrize("params, lam, u, case", [
@@ -173,16 +188,10 @@ def test_match_negative_subthreshold_small_target():
     (COTH3, 0.9, 0.05, "neg-sub"),
 ])
 def test_match_solves_each_start_once(monkeypatch, params, lam, u, case):
-    # the walk's probes, Brent's bracket ends, the returned start and the
-    # singular-start minimum all share one solve per start
-    solve, starts = matching.model.solve_ivp, []
-
-    def counted(p, lam_bar, a):
-        starts.append((p, a))
-        return solve(p, lam_bar, a)
-
-    monkeypatch.setattr(matching.model, "solve_ivp", counted)
-    assert match_maximum(params, lam, u).case == case
+    # Brent's probes, the returned start and the singular-start minimum
+    # all share one solve per start
+    res, starts = _solved_starts(monkeypatch, params, lam, u)
+    assert res.case == case
     assert len(starts) == len(set(starts)), starts
 
 
@@ -202,6 +211,63 @@ def test_match_stops_where_a_shot_resolves(params, lam, u, case):
     assert m == pytest.approx(u, abs=1e-9)
 
 
+@pytest.mark.parametrize("params, lam, u, case", [
+    (TAN3, 4.5, 0.7, "tan-interior"),
+    (COTH3, 3.0, 0.07, "neg-super-coth"),
+    (COTH3, 3.0, 0.3, "neg-super-tanh"),
+    (COTH3, 0.9, 0.05, "neg-sub"),
+])
+def test_match_shoots_no_start_whose_m_is_known(monkeypatch, params, lam, u,
+                                                case):
+    # both ends of the root are known: the symmetric start (m = 1) and the
+    # distant starts (m_const, or 0) are never shot, and the singular
+    # start only once, for m_min
+    res, solved = _solved_starts(monkeypatch, params, lam, u)
+    assert res.case == case
+    starts = [a for _, a in solved]
+    a_sym = -0.5 * symmetric_interval_length(
+        matching._family(params, "symmetric"), lam)
+    assert a_sym not in starts and all(map(math.isfinite, starts)), starts
+    if case in ("tan-interior", "neg-super-coth"):
+        assert starts.count(params.domain().lo) == 1, starts
+
+
+@pytest.mark.parametrize("params, lam, u", [
+    (ModelParams(7.5, -100.0, Branch.COTH), 0.00105625, 1e-12),
+    (COTH3, 1e-6, 1e-6),
+    (COTH3, 0.5, 1e-6),
+    (ModelParams(3.0, -10.0, Branch.COTH), 5.0, 1e-6),
+])
+def test_match_meets_its_tolerance_or_raises(params, lam, u):
+    # tiny subthreshold targets next to the critical start, where a root
+    # that stopped on its x tolerance returned a miss (attained 0.0 on the
+    # first): a result attains u to model.RTOL, or the error names the
+    # residual
+    try:
+        res = match_maximum(params, lam, u)
+    except NumericalError as exc:
+        assert "residual" in str(exc)
+    else:
+        assert abs(res.residual) <= matching.model.RTOL * u
+
+
+@pytest.mark.parametrize("params, lam, u, case", [
+    (ModelParams(2.5, 1.0, Branch.TAN), 4.0, 0.8, "tan-interior"),
+    (ModelParams(4.5, -1.0, Branch.COTH), 10.0, 0.08, "neg-super-coth"),
+    (ModelParams(4.5, -1.0, Branch.COTH), 10.0, 0.6, "neg-super-tanh"),
+    (ModelParams(7.5, -1.0, Branch.COTH), 5.0, 0.01, "neg-sub"),
+])
+def test_match_residual_on_non_integer_n(params, lam, u, case):
+    # no closed form for these N: the flux-form shot of the oracle at the
+    # matched start attains the target
+    res = match_maximum(params, lam, u)
+    assert res.case == case
+    assert abs(res.residual) <= matching.model.RTOL * u
+    m = flux_oracle.first_maximum(params.dim, params.curv, lam, res.a,
+                                  res.params.branch.value)
+    assert m == pytest.approx(u, rel=1e-9)
+
+
 def _count_shots(monkeypatch, cases):
     shoot, shots = matching.model._scipy_solve_ivp, []
 
@@ -218,16 +284,16 @@ def _count_shots(monkeypatch, cases):
 
 def test_match_shot_count(monkeypatch):
     # the tan, supercritical and subthreshold families of the benchmark's
-    # matching; the count repeats exactly (134 before the stopping rule,
-    # m = 1 at the symmetric start and no m_min shot for tanh targets)
+    # matching; the count repeats exactly (106 with a bracket walk and a
+    # root in the start a itself)
     cases = ([(TAN3, 4.5, u) for u in (0.55, 0.7, 0.85, 0.95)]
              + [(COTH3, 3.0, u) for u in (0.07, 0.09, 0.3, 0.6, 0.9)]
              + [(COTH3, 0.9, u) for u in (0.05, 0.3, 0.6, 0.9)])
-    assert sum(_count_shots(monkeypatch, cases)) == 106
+    assert sum(_count_shots(monkeypatch, cases)) == 79
 
 
 def test_match_shot_count_on_the_m_zero_plateau(monkeypatch):
-    # small subthreshold targets, whose walk probes past the critical
+    # small subthreshold targets, whose root probes past the critical
     # start where m counts as 0: no more shots than 16, 18 and 16
     cases = [(ModelParams(4.0, -0.5, Branch.COTH), 0.3, 0.0044),
              (ModelParams(4.0, -0.5, Branch.COTH), 0.3, 1e-3),

@@ -471,6 +471,14 @@ def loop_form(rhs):
             functools.partial(reference_coefficients, rhs))
 
 
+def reference_interpolate(F, y0, x):
+    """_ode._interpolate's Horner form as a loop over the coefficients."""
+    y = 0.0
+    for i, f in enumerate(reversed(F)):
+        y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+    return y + y0
+
+
 def scale_of(form, lam):
     """The angle's scale: k, or (S, q) as in model.odd_turn."""
     k = math.sqrt(lam)
@@ -508,6 +516,21 @@ def test_step_equals_loop_form(params, t_lo, t_hi, h_hi):
             assert coefficients(*dense) == reference_coefficients(ref, *dense)
 
 
+def test_interpolate_equals_loop_form():
+    """The written-out dense output rounds exactly as the loop does, at
+    float and at array fractions of the step."""
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        scales = 10.0 ** rng.integers(-12, 3, 7)
+        F = tuple(map(float, rng.normal(size=7) * scales))
+        y0, x = (float(v) for v in rng.uniform((-5.0, 0.0), (5.0, 1.0)))
+        assert _ode._interpolate(F, y0, x) == reference_interpolate(F, y0, x)
+    F = rng.normal(size=(7, 40))
+    y0, x = rng.normal(size=40), rng.uniform(0.0, 1.0, 40)
+    assert np.array_equal(_ode._interpolate(F, y0, x),
+                          reference_interpolate(F, y0, x))
+
+
 def kernel_shots(monkeypatch, params, lam, a):
     """The certificate of solve_ivp(params, lam, a), and (closure
     right-hand side, kernel, shot arguments) of its event shot and of an
@@ -541,8 +564,10 @@ def test_shot_equals_loop_form_shot(monkeypatch, params, lam, a,
     for rhs, f, args in shots:
         got = [_ode.shoot(f, *args, dense_output=dense)
                for dense in (False, True)]
-        want = [_ode.shoot(loop_form(rhs), *args, dense_output=dense)
-                for dense in (False, True)]
+        with monkeypatch.context() as m:
+            m.setattr(_ode, "_interpolate", reference_interpolate)
+            want = [_ode.shoot(loop_form(rhs), *args, dense_output=dense)
+                    for dense in (False, True)]
         fields = ("t", "phi", "rho", "event", "nfev", "nsteps")
         for g, w in zip(got, want):
             assert ([getattr(g, name) for name in fields]
